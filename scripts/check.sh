@@ -46,7 +46,11 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # runs the (const, mutex-guarded) reseal path also mutates, and session
   # maintenance driving Erase/Insert churn against the lazily built
   # log-position map under the same index_mu_.
-  TEST_FILTER="ChaseDiffProperty|ClosureDiffProperty|ChaseSerializeDiffProperty|RelationInstance|InstanceTest|InternPool|ValueIntern|ThreadPool|ResolveThreadCount|ChaseParallelDiffProperty|ClosureParallelDiffProperty|ChaseStratifiedDiffProperty|ClosureStratifiedDiffProperty|AnalysisTest|WatchdogForesight|ParallelHashJoin|Parallelism|EventLog|CancelToken|Watchdog|SegmentInserterTest|SegmentMergeTest|SegmentProbeTest|RelationSegmentTest|InstanceSegmentTest|ChaseSegmentedDiffProperty|ClosureSegmentedDiffProperty|EqualsUpToNulls|TombstoneDeltaView|MaintainDRed|IncrementalSweep"
+  # EgdReferenceDiffProperty/EgdBatchTest/SkolemCollisionTest cover the
+  # batched egd pass: the reference sweep and the batch edge cases run it
+  # at 4 threads next to the parallel match fan-out, and the Skolem-memo
+  # collision cases drive its substitution through session maintenance.
+  TEST_FILTER="ChaseDiffProperty|ClosureDiffProperty|ChaseSerializeDiffProperty|RelationInstance|InstanceTest|InternPool|ValueIntern|ThreadPool|ResolveThreadCount|ChaseParallelDiffProperty|ClosureParallelDiffProperty|ChaseStratifiedDiffProperty|ClosureStratifiedDiffProperty|AnalysisTest|WatchdogForesight|ParallelHashJoin|Parallelism|EventLog|CancelToken|Watchdog|SegmentInserterTest|SegmentMergeTest|SegmentProbeTest|RelationSegmentTest|InstanceSegmentTest|ChaseSegmentedDiffProperty|ClosureSegmentedDiffProperty|EqualsUpToNulls|TombstoneDeltaView|MaintainDRed|IncrementalSweep|EgdReferenceDiffProperty|EgdBatchTest|SkolemCollisionTest"
 fi
 
 cmake -B "$BUILD_DIR" -S . \

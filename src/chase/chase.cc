@@ -37,23 +37,49 @@ const std::vector<Witness>* Provenance::WitnessesOf(const Fact& target) const {
   return it == map_.end() ? nullptr : &it->second;
 }
 
-void Provenance::RewriteValue(const Value& from, const Value& to) {
-  auto rewrite_fact = [&](Fact fact) {
-    for (Value& v : fact.tuple) {
-      if (v == from) v = to;
-    }
-    return fact;
-  };
-  std::map<Fact, std::vector<Witness>> rewritten;
-  for (auto& [fact, witnesses] : map_) {
-    Fact new_fact = rewrite_fact(fact);
-    for (Witness& w : witnesses) {
-      for (Fact& f : w) f = rewrite_fact(f);
-    }
-    auto& slot = rewritten[new_fact];
-    slot.insert(slot.end(), witnesses.begin(), witnesses.end());
+namespace {
+
+// True when `tuple` holds a null that `subst` rewrites.
+bool Mentions(const ValueSubstitution& subst, const Tuple& tuple) {
+  for (const Value& v : tuple) {
+    if (v.is_labeled_null() && subst.count(v) > 0) return true;
   }
-  map_ = std::move(rewritten);
+  return false;
+}
+
+// Rewrites `tuple` in place under `subst`.
+void Substitute(const ValueSubstitution& subst, Tuple* tuple) {
+  for (Value& v : *tuple) {
+    if (!v.is_labeled_null()) continue;
+    auto it = subst.find(v);
+    if (it != subst.end()) v = it->second;
+  }
+}
+
+}  // namespace
+
+void Provenance::RewriteValues(const ValueSubstitution& subst) {
+  if (subst.empty()) return;
+  std::vector<std::map<Fact, std::vector<Witness>>::iterator> moved;
+  for (auto it = map_.begin(); it != map_.end(); ++it) {
+    for (Witness& w : it->second) {
+      for (Fact& f : w) Substitute(subst, &f.tuple);
+    }
+    if (Mentions(subst, it->first.tuple)) moved.push_back(it);
+  }
+  // A rewritten key holds no mapped null, so it can only collide with an
+  // untouched or already re-keyed entry, never with a pending one.
+  for (auto it : moved) {
+    auto node = map_.extract(it);
+    Substitute(subst, &node.key().tuple);
+    auto placed = map_.insert(std::move(node));
+    if (!placed.inserted) {
+      std::vector<Witness>& slot = placed.position->second;
+      std::vector<Witness>& extra = placed.node.mapped();
+      slot.insert(slot.end(), std::make_move_iterator(extra.begin()),
+                  std::make_move_iterator(extra.end()));
+    }
+  }
 }
 
 namespace {
@@ -590,6 +616,43 @@ std::string RuleLabel(const logic::Egd& egd, std::size_t index) {
   return "egd" + std::to_string(index) + ":" + JoinRelations(egd.body) + ":" +
          egd.left + "=" + egd.right;
 }
+
+// Union-find over values: the merges one egd pass has decided but not yet
+// applied. Only labeled nulls are ever linked below another root, so a
+// constant is always its own root.
+class ValueUnion {
+ public:
+  Value Find(const Value& v) {
+    Value root = v;
+    for (auto it = parent_.find(root); it != parent_.end();
+         it = parent_.find(root)) {
+      root = it->second;
+    }
+    // Path compression: point every value on the way straight at the root.
+    for (Value cur = v; cur != root;) {
+      auto it = parent_.find(cur);
+      cur = it->second;
+      it->second = root;
+    }
+    return root;
+  }
+  void Link(const Value& null_root, const Value& root) {
+    parent_[null_root] = root;
+  }
+  bool empty() const { return parent_.empty(); }
+  // Every linked null -> its current root.
+  ValueSubstitution Substitution() {
+    ValueSubstitution subst;
+    for (const auto& [null, parent] : parent_) {
+      (void)parent;
+      subst.emplace_hint(subst.end(), null, Find(null));
+    }
+    return subst;
+  }
+
+ private:
+  std::map<Value, Value> parent_;
+};
 
 // Shared machinery for first- and second-order chases over a combined
 // (source + target) instance.
@@ -1424,7 +1487,9 @@ class ChaseRun {
           session_->unification_witnesses.push_back(
               WitnessOf(clause.body, assignment));
         }
-        MM2_RETURN_IF_ERROR(UnifyValues(*lv, *rv));
+        ValueUnion merge;
+        MM2_RETURN_IF_ERROR(Equate(&merge, *lv, *rv).status());
+        MM2_RETURN_IF_ERROR(ApplySubstitution(&merge));
         changed = true;
       }
       if (filtered_out) continue;
@@ -1513,11 +1578,14 @@ class ChaseRun {
     return changed;
   }
 
+  // One pass matches the body once (full or delta), resolves every
+  // violation through a union-find, and applies the merges as one
+  // substitution; passes repeat until one finds nothing to merge.
   Result<bool> FireEgd(const logic::Egd& egd, std::size_t rule_index) {
     bool changed = false;
     while (true) {
-      bool fired = false;
       BodyMatch match = MatchBody(rule_index, egd.body, target_);
+      ValueUnion merge;
       for (const Assignment& assignment : match.assignments) {
         auto li = assignment.find(egd.left);
         auto ri = assignment.find(egd.right);
@@ -1526,67 +1594,124 @@ class ChaseRun {
                                          egd.ToString());
         }
         if (li->second == ri->second) continue;
-        if (session_ != nullptr) {
-          session_->unification_witnesses.push_back(
-              WitnessOf(egd.body, assignment));
+        MM2_ASSIGN_OR_RETURN(const Value* merged,
+                             Equate(&merge, li->second, ri->second));
+        if (merged != nullptr && session_ != nullptr) {
+          JournalEgdWitness(egd.body, assignment, *merged);
         }
-        MM2_RETURN_IF_ERROR(UnifyValues(li->second, ri->second));
-        fired = true;
-        changed = true;
-        break;  // instance changed; recompute matches
       }
-      if (!fired) {
+      if (merge.empty()) {
         // Every assignment at or below the snapshot is violation-free, so
         // only now may the delta watermark advance. Unification rewrites
         // (erase + reinsert) land above it and re-match next pass.
         CommitWatermarks(rule_index, match);
         break;
       }
+      MM2_RETURN_IF_ERROR(ApplySubstitution(&merge));
+      changed = true;
     }
     return changed;
   }
 
-  // Equates two values: a labeled null is rewritten to the other value
-  // everywhere (preferring to keep constants); two distinct constants are
-  // an inconsistency.
-  Status UnifyValues(const Value& a, const Value& b) {
-    Value from;
-    Value to;
-    if (a.is_labeled_null()) {
-      from = a;
-      to = b;
-    } else if (b.is_labeled_null()) {
-      from = b;
-      to = a;
+  // Books the body facts that justified an egd merge, plus the source
+  // facts that derived them, so deletion maintenance re-chases once the
+  // merge loses its ground. The one exception is a body fact holding the
+  // merged-away null in first-order mode: that null was invented by a
+  // single firing, so losing the fact's support means losing the null too,
+  // and the merge is moot. A Skolem null outlives any one fact (other
+  // facts carry the same term), so under an SO mapping every body fact
+  // counts. Provenance still names the facts as they were before this
+  // pass' merges.
+  void JournalEgdWitness(const std::vector<Atom>& body,
+                         const Assignment& assignment, const Value& merged) {
+    Witness witness = WitnessOf(body, assignment);
+    const std::size_t body_facts = witness.size();
+    for (std::size_t i = 0; i < body_facts; ++i) {
+      const Tuple& tuple = witness[i].tuple;
+      if (skolem_.empty() &&
+          std::find(tuple.begin(), tuple.end(), merged) != tuple.end()) {
+        continue;
+      }
+      const std::vector<Witness>* support =
+          provenance_.WitnessesOf(witness[i]);
+      if (support == nullptr) continue;
+      for (const Witness& w : *support) {
+        witness.insert(witness.end(), w.begin(), w.end());
+      }
+    }
+    session_->unification_witnesses.push_back(std::move(witness));
+  }
+
+  // Decides `a = b` against the pending merges: equal roots are already
+  // merged, two distinct constants are an inconsistency, and otherwise the
+  // labeled-null root links below the other root (a constant when there is
+  // one, else the right-hand side). Returns the argument whose root was
+  // linked away, or nullptr when the two were already merged.
+  Result<const Value*> Equate(ValueUnion* merge, const Value& a,
+                              const Value& b) {
+    Value ra = merge->Find(a);
+    Value rb = merge->Find(b);
+    if (ra == rb) return nullptr;
+    const Value* merged = nullptr;
+    if (ra.is_labeled_null()) {
+      merge->Link(ra, rb);
+      merged = &a;
+    } else if (rb.is_labeled_null()) {
+      merge->Link(rb, ra);
+      merged = &b;
     } else {
       return Status::Inconsistent("egd forces distinct constants equal: " +
-                                  a.ToString() + " = " + b.ToString());
+                                  ra.ToString() + " = " + rb.ToString());
     }
     ++stats_.egd_unifications;
-    // Rewrite every relation extension of the target (nulls only ever
-    // live there).
+    return merged;
+  }
+
+  // Rewrites every merged null to its root, once. The Skolem memo goes
+  // first: two terms whose arguments merged now share a key, so their
+  // images must merge too, and the memo is rewritten again until no key
+  // collides. Then the target (only tuples holding a merged null are
+  // erased and reinserted), provenance, and the session's unification
+  // journal and dependents index follow in the merged vocabulary.
+  Status ApplySubstitution(ValueUnion* merge) {
+    ValueSubstitution subst = merge->Substitution();
+    bool collided = true;
+    while (collided) {
+      collided = false;
+      std::vector<SkolemMemo::iterator> moved;
+      for (auto it = skolem_.begin(); it != skolem_.end(); ++it) {
+        auto image = subst.find(it->second);
+        if (image != subst.end()) it->second = image->second;
+        if (Mentions(subst, it->first.second)) moved.push_back(it);
+      }
+      // As in Provenance::RewriteValues, a re-keyed entry never collides
+      // with a pending one; a collision drops the re-keyed entry once its
+      // image is linked to the survivor's.
+      for (auto it : moved) {
+        auto node = skolem_.extract(it);
+        Substitute(subst, &node.key().second);
+        auto placed = skolem_.insert(std::move(node));
+        if (!placed.inserted &&
+            placed.position->second != placed.node.mapped()) {
+          MM2_RETURN_IF_ERROR(
+              Equate(merge, placed.position->second, placed.node.mapped())
+                  .status());
+          collided = true;
+        }
+      }
+      if (collided) subst = merge->Substitution();
+    }
     for (auto& [name, rel] : target_.relations_mutable()) {
-      std::vector<Tuple> rewritten;
       std::vector<Tuple> removed;
       for (const Tuple& t : rel.tuples()) {
-        bool hit = false;
-        Tuple nt = t;
-        for (Value& v : nt) {
-          if (v == from) {
-            v = to;
-            hit = true;
-          }
-        }
-        if (hit) {
-          removed.push_back(t);
-          rewritten.push_back(std::move(nt));
-        }
+        if (Mentions(subst, t)) removed.push_back(t);
       }
       for (const Tuple& t : removed) {
         rel.Erase(t);
         if (net_change_ != nullptr) --(*net_change_)[Fact{name, t}];
       }
-      for (Tuple& t : rewritten) {
+      for (Tuple& t : removed) {
+        Substitute(subst, &t);
         if (net_change_ != nullptr) {
           Fact fact{name, t};
           if (rel.Insert(std::move(t))) ++(*net_change_)[fact];
@@ -1595,44 +1720,15 @@ class ChaseRun {
         }
       }
     }
-    // Rewrite Skolem table images (and arguments).
-    std::map<std::pair<std::string, std::vector<Value>>, Value> new_skolem;
-    for (auto& [key, value] : skolem_) {
-      auto new_key = key;
-      for (Value& v : new_key.second) {
-        if (v == from) v = to;
-      }
-      Value new_value = (value == from) ? to : value;
-      auto it = new_skolem.find(new_key);
-      if (it != new_skolem.end() && !(it->second == new_value)) {
-        // Two entries collapse to the same key with different values:
-        // unify those too (recursion depth bounded by #nulls).
-        MM2_RETURN_IF_ERROR(UnifyValues(it->second, new_value));
-        return Status::OK();
-      }
-      new_skolem.emplace(std::move(new_key), std::move(new_value));
-    }
-    skolem_ = std::move(new_skolem);
-    if (options_.track_provenance) provenance_.RewriteValue(from, to);
-    // Keep the unification journal in the merged vocabulary, so deletion
-    // maintenance compares its facts against current target/source facts.
+    if (options_.track_provenance) provenance_.RewriteValues(subst);
     if (session_ != nullptr) {
       for (Witness& witness : session_->unification_witnesses) {
-        for (Fact& fact : witness) {
-          for (Value& v : fact.tuple) {
-            if (v == from) v = to;
-          }
-        }
+        for (Fact& fact : witness) Substitute(subst, &fact.tuple);
       }
-      // The dependents index names target facts on its value side; keep
-      // them in the merged vocabulary so deletion maintenance finds their
-      // provenance entries. (Keys are source facts — never rewritten.)
+      // Keys are source facts, never rewritten; the target facts on the
+      // value side must match their provenance entries.
       for (auto& [source_fact, facts] : session_->dependents) {
-        for (Fact& fact : facts) {
-          for (Value& v : fact.tuple) {
-            if (v == from) v = to;
-          }
-        }
+        for (Fact& fact : facts) Substitute(subst, &fact.tuple);
       }
     }
     return Status::OK();
@@ -1704,7 +1800,7 @@ class ChaseRun {
   ChaseStats stats_;
   Provenance provenance_;
   std::int64_t next_label_ = 0;
-  std::map<std::pair<std::string, std::vector<Value>>, Value> skolem_;
+  SkolemMemo skolem_;
   // Semi-naive state, indexed like stats_.rules: the per-relation insert-log
   // watermark as of each rule's last committed matching pass, and whether
   // the rule has completed its first (full) pass.

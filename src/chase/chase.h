@@ -65,14 +65,18 @@ struct Fact {
 
 using Witness = std::vector<Fact>;
 
+// A batch of null unifications: labeled null -> the value it merged into.
+using ValueSubstitution = std::map<instance::Value, instance::Value>;
+
 // Why-provenance: every target fact maps to the witnesses that derived it.
 class Provenance {
  public:
   void Record(const Fact& target, Witness witness);
   const std::vector<Witness>* WitnessesOf(const Fact& target) const;
-  // Applies a value rewrite (null unification from an egd step) to both
-  // sides of the provenance map.
-  void RewriteValue(const instance::Value& from, const instance::Value& to);
+  // Applies a batch of null unifications to both sides of the provenance
+  // map. Entries whose fact collapses onto another fact pool their
+  // witnesses; untouched entries stay in place.
+  void RewriteValues(const ValueSubstitution& subst);
   std::size_t size() const { return map_.size(); }
 
   // Full derivation map, fact -> recorded witnesses. The mutable overload
@@ -301,6 +305,12 @@ Result<ChaseResult> RunChase(const logic::Mapping& mapping,
                              const ChaseOptions& options = {});
 
 // ---- Incremental maintenance ---------------------------------------------
+// Skolem interpretation: (function, arguments) -> the labeled null that
+// stands for the term.
+using SkolemMemo =
+    std::map<std::pair<std::string, std::vector<instance::Value>>,
+             instance::Value>;
+
 // Semi-naive chase state that survives a finished run, so a later call can
 // resume matching where the last one stopped instead of re-deriving the
 // whole target. Captured/restored by ResumeChase; owned by the caller
@@ -321,15 +331,14 @@ struct ChaseSessionState {
   std::map<Fact, std::vector<Fact>> dependents;
   // Skolem interpretation table: (function, args) -> labeled null. Kept so
   // a resumed SO chase reuses the same null for the same Skolem term.
-  std::map<std::pair<std::string, std::vector<instance::Value>>,
-           instance::Value>
-      skolem;
+  SkolemMemo skolem;
   // Next fresh labeled-null label; resumed runs continue the sequence.
   std::int64_t next_label = 0;
-  // Body facts that justified each null unification (egd firings and
-  // SO-premise equalities). A deletion touching any of these could demand
-  // un-merging nulls, which DRed cannot do cheaply — MaintainExchange
-  // detects the overlap and falls back to a full re-chase.
+  // Body facts that justified each null unification (egd links and
+  // SO-premise equalities); under Skolem semantics an egd entry also holds
+  // the source facts that derived its body facts. A deletion touching any
+  // of these could demand un-merging nulls, which DRed cannot do cheaply —
+  // MaintainExchange detects the overlap and falls back to a full re-chase.
   std::vector<Witness> unification_witnesses;
 };
 

@@ -5,7 +5,9 @@
 // and, on success, instances equal up to null renaming — checked as
 // homomorphic equivalence plus equal core sizes (cores of hom-equivalent
 // instances are isomorphic). Full-tgd closure cases invent no nulls, so
-// there the results must be exactly equal.
+// there the results must be exactly equal. The egd-reference axis at the
+// end compares the batched egd pass with the one-merge-at-a-time oracle
+// in egd_reference.h, which shares no egd code with the chase.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "chase/chase.h"
+#include "egd_reference.h"
 #include "instance/instance.h"
 #include "instance/value.h"
 #include "logic/formula.h"
@@ -25,6 +28,7 @@ namespace mm2::chase {
 namespace {
 
 using instance::Instance;
+using instance::InstanceEqualsUpToNulls;
 using instance::Value;
 using logic::Atom;
 using logic::Egd;
@@ -72,6 +76,31 @@ model::Relation IntRelation(const std::string& name, std::size_t arity) {
   return model::Relation(name, std::move(attrs), {0});
 }
 
+// 1-2 atoms over the source relations R<i> (arities `src_arity`). Each
+// column reuses an earlier variable half the time (join / repeated var),
+// else binds a fresh one, appended to `vars`.
+std::vector<Atom> RandomBody(Rng* rng,
+                             const std::vector<std::size_t>& src_arity,
+                             std::vector<std::string>* vars) {
+  std::vector<Atom> body;
+  const std::size_t body_atoms = 1 + rng->Uniform(2);
+  for (std::size_t b = 0; b < body_atoms; ++b) {
+    const std::size_t rel = rng->Uniform(src_arity.size());
+    Atom atom;
+    atom.relation = "R" + std::to_string(rel);
+    for (std::size_t c = 0; c < src_arity[rel]; ++c) {
+      if (!vars->empty() && rng->Chance(0.5)) {
+        atom.terms.push_back(Term::Var((*vars)[rng->Uniform(vars->size())]));
+      } else {
+        vars->push_back("x" + std::to_string(vars->size()));
+        atom.terms.push_back(Term::Var(vars->back()));
+      }
+    }
+    body.push_back(std::move(atom));
+  }
+  return body;
+}
+
 Scenario MakeScenario(std::uint64_t seed) {
   Rng rng(seed + 1);
   Scenario s;
@@ -95,24 +124,7 @@ Scenario MakeScenario(std::uint64_t seed) {
   for (std::size_t r = 0; r < rules; ++r) {
     Tgd tgd;
     std::vector<std::string> vars;
-    std::size_t body_atoms = 1 + rng.Uniform(2);
-    for (std::size_t b = 0; b < body_atoms; ++b) {
-      std::size_t rel = rng.Uniform(source_rels);
-      Atom atom;
-      atom.relation = "R" + std::to_string(rel);
-      for (std::size_t c = 0; c < src_arity[rel]; ++c) {
-        // Reuse an existing variable half the time (join / repeated var),
-        // else bind a fresh one.
-        if (!vars.empty() && rng.Chance(0.5)) {
-          atom.terms.push_back(Term::Var(vars[rng.Uniform(vars.size())]));
-        } else {
-          std::string v = "x" + std::to_string(vars.size());
-          vars.push_back(v);
-          atom.terms.push_back(Term::Var(std::move(v)));
-        }
-      }
-      tgd.body.push_back(std::move(atom));
-    }
+    tgd.body = RandomBody(&rng, src_arity, &vars);
     std::size_t head_atoms = 1 + rng.Uniform(2);
     std::size_t existentials = 0;
     for (std::size_t h = 0; h < head_atoms; ++h) {
@@ -170,6 +182,97 @@ Scenario MakeScenario(std::uint64_t seed) {
   return s;
 }
 
+// A random second-order scenario: SO-tgd clauses whose heads carry
+// Skolem terms nested up to two deep (g(f(x)) next to f(x)), now and then
+// a premise equality between two Skolem terms, and key egds on the
+// target. Merging two nulls makes Skolem terms over them collide, so the
+// memo must keep merging — the path first-order scenarios never reach.
+// (A premise equality against a body variable is left out: the chase
+// resolves it first come, first served, so its result depends on the
+// enumeration order, which differs between executors.)
+struct SkolemScenario {
+  model::Schema source{"Src", model::Metamodel::kRelational};
+  model::Schema target{"Tgt", model::Metamodel::kRelational};
+  logic::SoTgd so;
+  std::vector<Egd> egds;
+  Instance db;
+
+  Mapping ToMapping() const {
+    return Mapping::FromSoTgd("m", source, target, so, egds);
+  }
+};
+
+SkolemScenario MakeSkolemScenario(std::uint64_t seed) {
+  Rng rng(seed * 6151 + 3);
+  SkolemScenario s;
+  const std::size_t source_rels = 2 + rng.Uniform(2);  // 2..3
+  const std::size_t target_rels = 2 + rng.Uniform(2);  // 2..3
+  std::vector<std::size_t> src_arity(source_rels);
+  std::vector<std::size_t> tgt_arity(target_rels);
+  for (std::size_t i = 0; i < source_rels; ++i) {
+    src_arity[i] = 1 + rng.Uniform(3);
+    s.source.AddRelation(IntRelation("R" + std::to_string(i), src_arity[i]));
+  }
+  for (std::size_t i = 0; i < target_rels; ++i) {
+    tgt_arity[i] = 2 + rng.Uniform(2);
+    s.target.AddRelation(IntRelation("T" + std::to_string(i), tgt_arity[i]));
+  }
+  s.so.functions = {"f", "g"};
+  const std::size_t clauses = 2 + rng.Uniform(3);  // 2..4
+  for (std::size_t c = 0; c < clauses; ++c) {
+    logic::SoTgdClause clause;
+    std::vector<std::string> vars;
+    clause.body = RandomBody(&rng, src_arity, &vars);
+    auto var = [&] { return Term::Var(vars[rng.Uniform(vars.size())]); };
+    auto skolem = [&]() -> Term {
+      Term inner = Term::Func("f", {var()});
+      return rng.Chance(0.5) ? Term::Func("g", {inner}) : inner;
+    };
+    const std::size_t head_atoms = 1 + rng.Uniform(2);
+    for (std::size_t h = 0; h < head_atoms; ++h) {
+      const std::size_t rel = rng.Uniform(target_rels);
+      Atom atom;
+      atom.relation = "T" + std::to_string(rel);
+      for (std::size_t k = 0; k < tgt_arity[rel]; ++k) {
+        atom.terms.push_back(k > 0 && rng.Chance(0.5) ? skolem() : var());
+      }
+      clause.head.push_back(std::move(atom));
+    }
+    if (rng.Chance(0.2)) clause.equalities.emplace_back(skolem(), skolem());
+    s.so.clauses.push_back(std::move(clause));
+  }
+  // Key egds: equal first columns force the second column equal.
+  for (std::size_t rel = 0; rel < target_rels; ++rel) {
+    if (rng.Chance(0.4)) continue;
+    Egd egd;
+    Atom a1;
+    Atom a2;
+    a1.relation = a2.relation = "T" + std::to_string(rel);
+    a1.terms.push_back(Term::Var("k"));
+    a2.terms.push_back(Term::Var("k"));
+    for (std::size_t k = 1; k < tgt_arity[rel]; ++k) {
+      a1.terms.push_back(Term::Var("u" + std::to_string(k)));
+      a2.terms.push_back(Term::Var("v" + std::to_string(k)));
+    }
+    egd.body = {std::move(a1), std::move(a2)};
+    egd.left = "u1";
+    egd.right = "v1";
+    s.egds.push_back(std::move(egd));
+  }
+  s.db = Instance::EmptyFor(s.source);
+  for (std::size_t rel = 0; rel < source_rels; ++rel) {
+    const std::size_t rows = 3 + rng.Uniform(5);
+    for (std::size_t row = 0; row < rows; ++row) {
+      instance::Tuple t;
+      for (std::size_t k = 0; k < src_arity[rel]; ++k) {
+        t.push_back(Value::Int64(static_cast<std::int64_t>(rng.Uniform(4))));
+      }
+      s.db.InsertUnchecked("R" + std::to_string(rel), std::move(t));
+    }
+  }
+  return s;
+}
+
 class ChaseDiffProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(ChaseDiffProperty, NaiveIndexedSemiNaiveAgree) {
@@ -208,6 +311,30 @@ TEST_P(ChaseDiffProperty, NaiveIndexedSemiNaiveAgree) {
   EXPECT_EQ(core_naive.TotalTuples(), core_indexed.TotalTuples())
       << "seed " << GetParam();
   EXPECT_EQ(core_naive.TotalTuples(), core_semi.TotalTuples())
+      << "seed " << GetParam();
+}
+
+// The same agreement over second-order scenarios with key egds.
+TEST_P(ChaseDiffProperty, SkolemEgdScenariosAgree) {
+  SkolemScenario s = MakeSkolemScenario(static_cast<std::uint64_t>(GetParam()));
+  Mapping mapping = s.ToMapping();
+  auto naive = RunChase(mapping, s.db, NaiveMode());
+  auto indexed = RunChase(mapping, s.db, IndexedMode());
+  auto semi = RunChase(mapping, s.db, SemiNaiveMode());
+  ASSERT_EQ(naive.status().code(), indexed.status().code())
+      << "seed " << GetParam() << ": naive=" << naive.status()
+      << " indexed=" << indexed.status();
+  ASSERT_EQ(naive.status().code(), semi.status().code())
+      << "seed " << GetParam() << ": naive=" << naive.status()
+      << " semi=" << semi.status();
+  if (!naive.ok()) return;
+  // Skolem semantics leaves no firing-order freedom: the three executors
+  // agree up to null names, with the same number of unifications.
+  EXPECT_TRUE(InstanceEqualsUpToNulls(naive->target, indexed->target))
+      << "seed " << GetParam();
+  EXPECT_TRUE(InstanceEqualsUpToNulls(naive->target, semi->target))
+      << "seed " << GetParam();
+  EXPECT_EQ(naive->stats.egd_unifications, semi->stats.egd_unifications)
       << "seed " << GetParam();
 }
 
@@ -660,6 +787,124 @@ TEST_P(ClosureSegmentedDiffProperty, SegmentedClosureExactlyEqual) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ClosureSegmentedDiffProperty,
                          ::testing::Range(0, 20));
+
+// Egd-reference axis: the production chase applies each egd pass as one
+// batched substitution, while reference::ReferenceChase (tests-only,
+// sharing nothing with ChaseRun but the nested-loop matcher) unifies one
+// violation at a time and rewrites everything after each. Both must reach
+// the same instance up to null names with the same number of
+// unifications, or fail with the same status code.
+void ExpectMatchesReference(const Result<ChaseResult>& chased,
+                            const Result<reference::ReferenceResult>& ref,
+                            const std::string& what) {
+  ASSERT_EQ(chased.status().code(), ref.status().code())
+      << what << ": chase=" << chased.status() << " reference=" << ref.status();
+  if (!ref.ok()) return;
+  EXPECT_TRUE(InstanceEqualsUpToNulls(chased->target, ref->target))
+      << what << "\nchase:\n" << chased->target.ToString()
+      << "\nreference:\n" << ref->target.ToString();
+  EXPECT_EQ(chased->stats.egd_unifications, ref->egd_unifications) << what;
+}
+
+// A random key-egd graph, shaped like the benchmark's closure workload
+// but small: transitive closure over R, an existential E(x, y, n) per edge
+// with a key egd on E(x, ., n) that merges every node's nulls, and a few
+// C(x, c) facts that pin a node's null to a constant — two of them on one
+// node make the chase inconsistent.
+struct KeyEgdGraph {
+  std::vector<Tgd> tgds;
+  std::vector<Egd> egds;
+  Instance db;
+};
+
+KeyEgdGraph MakeKeyEgdGraph(std::uint64_t seed) {
+  Rng rng(seed * 4099 + 11);
+  KeyEgdGraph g;
+  auto v = [](const char* name) { return Term::Var(name); };
+  Tgd copy;
+  copy.body = {Atom{"R", {v("x"), v("y")}}};
+  copy.head = {Atom{"T", {v("x"), v("y")}}};
+  Tgd step;
+  step.body = {Atom{"T", {v("x"), v("y")}}, Atom{"R", {v("y"), v("z")}}};
+  step.head = {Atom{"T", {v("x"), v("z")}}};
+  Tgd exist;
+  exist.body = {Atom{"T", {v("x"), v("y")}}};
+  exist.head = {Atom{"E", {v("x"), v("y"), v("n")}}};
+  Tgd pin;
+  pin.body = {Atom{"C", {v("x"), v("c")}}, Atom{"E", {v("x"), v("y"), v("n")}}};
+  pin.head = {Atom{"E", {v("x"), v("x"), v("c")}}};
+  g.tgds = {copy, step, exist, pin};
+  Egd key;
+  key.body = {Atom{"E", {v("x"), v("y"), v("n")}},
+              Atom{"E", {v("x"), v("w"), v("m")}}};
+  key.left = "n";
+  key.right = "m";
+  g.egds = {key};
+  g.db.DeclareRelation("R", 2);
+  g.db.DeclareRelation("T", 2);
+  g.db.DeclareRelation("E", 3);
+  g.db.DeclareRelation("C", 2);
+  const std::size_t nodes = 4 + rng.Uniform(6);
+  for (std::size_t i = 0; i + 1 < nodes; ++i) {
+    const std::size_t fanout = 1 + rng.Uniform(2);
+    for (std::size_t e = 0; e < fanout; ++e) {
+      const std::size_t j = i + 1 + rng.Uniform(std::min<std::size_t>(
+                                        3, nodes - i - 1));
+      g.db.InsertUnchecked("R", {Value::Int64(static_cast<std::int64_t>(i)),
+                                 Value::Int64(static_cast<std::int64_t>(j))});
+    }
+  }
+  const std::size_t pins = rng.Uniform(3);
+  for (std::size_t p = 0; p < pins; ++p) {
+    g.db.InsertUnchecked(
+        "C", {Value::Int64(static_cast<std::int64_t>(rng.Uniform(nodes))),
+              Value::Int64(100 + static_cast<std::int64_t>(rng.Uniform(2)))});
+  }
+  return g;
+}
+
+class EgdReferenceDiffProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(EgdReferenceDiffProperty, KeyEgdGraphMatchesReference) {
+  KeyEgdGraph g = MakeKeyEgdGraph(static_cast<std::uint64_t>(GetParam()));
+  auto ref = reference::ReferenceChaseInstance(g.tgds, g.egds, g.db);
+  const std::string seed = "seed " + std::to_string(GetParam());
+  ExpectMatchesReference(ChaseInstance(g.tgds, g.egds, g.db, SemiNaiveMode()),
+                         ref, seed + " semi-naive");
+  ExpectMatchesReference(ChaseInstance(g.tgds, g.egds, g.db, NaiveMode()),
+                         ref, seed + " naive");
+  ExpectMatchesReference(
+      ChaseInstance(g.tgds, g.egds, g.db, ThreadedMode(4, true)), ref,
+      seed + " threads 4");
+  ExpectMatchesReference(ChaseInstance(g.tgds, g.egds, g.db, StratifiedMode()),
+                         ref, seed + " stratified");
+}
+
+TEST_P(EgdReferenceDiffProperty, TgdScenarioMatchesReference) {
+  Scenario s = MakeScenario(static_cast<std::uint64_t>(GetParam()));
+  Mapping mapping =
+      Mapping::FromTgds("m", s.source, s.target, s.tgds, s.egds);
+  auto ref = reference::ReferenceRunChase(mapping, s.db);
+  const std::string seed = "seed " + std::to_string(GetParam());
+  ExpectMatchesReference(RunChase(mapping, s.db, SemiNaiveMode()), ref,
+                         seed + " semi-naive");
+  ExpectMatchesReference(RunChase(mapping, s.db, NaiveMode()), ref,
+                         seed + " naive");
+}
+
+TEST_P(EgdReferenceDiffProperty, SkolemScenarioMatchesReference) {
+  SkolemScenario s = MakeSkolemScenario(static_cast<std::uint64_t>(GetParam()));
+  Mapping mapping = s.ToMapping();
+  auto ref = reference::ReferenceRunChase(mapping, s.db);
+  const std::string seed = "seed " + std::to_string(GetParam());
+  ExpectMatchesReference(RunChase(mapping, s.db, SemiNaiveMode()), ref,
+                         seed + " semi-naive");
+  ExpectMatchesReference(RunChase(mapping, s.db, NaiveMode()), ref,
+                         seed + " naive");
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, EgdReferenceDiffProperty,
+                         ::testing::Range(0, 100));
 
 }  // namespace
 }  // namespace mm2::chase

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 #include "chase/chase.h"
 #include "instance/instance.h"
 #include "logic/formula.h"
 #include "logic/mapping.h"
 #include "model/schema.h"
+#include "text/sexpr.h"
 
 namespace mm2::chase {
 namespace {
@@ -427,6 +431,134 @@ TEST(CoreTest, ChaseThenCoreMatchesMinimalSolution) {
   ASSERT_TRUE(result.ok());
   Instance core = ComputeCore(result->target);
   EXPECT_EQ(core.Find("Worker")->size(), 2u);  // one row per source Emp
+}
+
+
+// ---------------------------------------------------------------------------
+// Batched egd passes: one match, one union-find, one substitution per pass.
+// ---------------------------------------------------------------------------
+
+// The clash only shows through the union-find: no single assignment
+// equates the two constants, but n = "a" and n = "b" come from different
+// assignments of one pass.
+TEST(EgdBatchTest, TransitiveConstantClashIsInconsistent) {
+  Instance db;
+  db.DeclareRelation("A", 2);
+  db.DeclareRelation("B", 2);
+  db.InsertUnchecked("A", {Value::Int64(1), Value::LabeledNull(0)});
+  db.InsertUnchecked("B", {Value::Int64(1), Value::String("a")});
+  db.InsertUnchecked("B", {Value::Int64(1), Value::String("b")});
+  Egd pin;
+  pin.body = {Atom{"A", {V("x"), V("n")}}, Atom{"B", {V("x"), V("c")}}};
+  pin.left = "n";
+  pin.right = "c";
+  for (bool naive : {false, true}) {
+    ChaseOptions options;
+    options.naive = naive;
+    auto result = ChaseInstance({}, {pin}, db, options);
+    ASSERT_FALSE(result.ok()) << "naive " << naive;
+    EXPECT_EQ(result.status().code(), StatusCode::kInconsistent);
+    EXPECT_NE(result.status().message().find("\"a\" = \"b\""),
+              std::string::npos)
+        << result.status().message();
+  }
+}
+
+// Four nulls under one key link in a chain (each left root below the right
+// one) and collapse onto the last; under a second key the chain ends on a
+// constant, which wins. Every other relation follows the merge.
+TEST(EgdBatchTest, ChainedNullLinksResolveToOneRepresentative) {
+  Instance db;
+  db.DeclareRelation("A", 2);
+  db.DeclareRelation("R", 1);
+  for (std::int64_t n = 0; n < 4; ++n) {
+    db.InsertUnchecked("A", {Value::Int64(1), Value::LabeledNull(n)});
+    db.InsertUnchecked("R", {Value::LabeledNull(n)});
+  }
+  for (std::int64_t n = 4; n < 7; ++n) {
+    db.InsertUnchecked("A", {Value::Int64(2), Value::LabeledNull(n)});
+    db.InsertUnchecked("R", {Value::LabeledNull(n)});
+  }
+  db.InsertUnchecked("A", {Value::Int64(2), Value::Int64(70)});
+  Egd key;
+  key.body = {Atom{"A", {V("x"), V("n")}}, Atom{"A", {V("x"), V("m")}}};
+  key.left = "n";
+  key.right = "m";
+  auto result = ChaseInstance({}, {key}, db);
+  ASSERT_TRUE(result.ok()) << result.status();
+  // Three links per key: one fewer than the values each key merges.
+  EXPECT_EQ(result->stats.egd_unifications, 6u);
+  const instance::RelationInstance* a = result->target.Find("A");
+  ASSERT_EQ(a->size(), 2u);
+  EXPECT_TRUE(a->Contains({Value::Int64(1), Value::LabeledNull(3)}));
+  EXPECT_TRUE(a->Contains({Value::Int64(2), Value::Int64(70)}));
+  const instance::RelationInstance* r = result->target.Find("R");
+  ASSERT_EQ(r->size(), 2u);
+  EXPECT_TRUE(r->Contains({Value::LabeledNull(3)}));
+  EXPECT_TRUE(r->Contains({Value::Int64(70)}));
+  // One pass merges everything; the next finds nothing to merge.
+  ASSERT_EQ(result->stats.rules.size(), 1u);
+  EXPECT_EQ(result->stats.rules[0].rounds_active, 1u);
+}
+
+// The batch runs inside the match order, which the parallel executor and
+// the stratified scheduler both preserve: instance text (null names
+// included) and every counter stay identical across threads 1 and 4,
+// flat and stratified.
+TEST(EgdBatchTest, BitIdenticalAcrossThreadsAndScheduling) {
+  Instance db;
+  db.DeclareRelation("R", 2);
+  db.DeclareRelation("T", 2);
+  db.DeclareRelation("E", 3);
+  for (std::int64_t i = 0; i < 40; ++i) {
+    for (std::int64_t d : {1, 3}) {
+      if (i + d < 40) {
+        db.InsertUnchecked("R", {Value::Int64(i), Value::Int64(i + d)});
+      }
+    }
+  }
+  Tgd copy;
+  copy.body = {Atom{"R", {V("x"), V("y")}}};
+  copy.head = {Atom{"T", {V("x"), V("y")}}};
+  Tgd step;
+  step.body = {Atom{"T", {V("x"), V("y")}}, Atom{"R", {V("y"), V("z")}}};
+  step.head = {Atom{"T", {V("x"), V("z")}}};
+  Tgd exist;
+  exist.body = {Atom{"R", {V("x"), V("y")}}};
+  exist.head = {Atom{"E", {V("x"), V("y"), V("n")}}};
+  Egd key;
+  key.body = {Atom{"E", {V("x"), V("y"), V("n")}},
+              Atom{"E", {V("x"), V("w"), V("m")}}};
+  key.left = "n";
+  key.right = "m";
+  std::vector<Tgd> tgds = {copy, step, exist};
+
+  std::optional<std::string> text;
+  std::optional<ChaseStats> first;
+  for (bool stratified : {false, true}) {
+    for (std::size_t threads : {1u, 4u}) {
+      ChaseOptions options;
+      options.threads = threads;
+      options.stratified = stratified;
+      auto result = ChaseInstance(tgds, {key}, db, options);
+      ASSERT_TRUE(result.ok()) << result.status();
+      // One merge per node with two out-edges (0..36).
+      EXPECT_EQ(result->stats.egd_unifications, 37u);
+      std::string printed = text::InstanceToText(result->target);
+      if (!text.has_value()) {
+        text = printed;
+        first = result->stats;
+        continue;
+      }
+      EXPECT_EQ(printed, *text)
+          << "threads " << threads << " stratified " << stratified;
+      EXPECT_EQ(result->stats.tgd_firings, first->tgd_firings);
+      EXPECT_EQ(result->stats.nulls_created, first->nulls_created);
+      EXPECT_EQ(result->stats.egd_unifications, first->egd_unifications);
+      EXPECT_EQ(result->stats.assignments_matched,
+                first->assignments_matched);
+    }
+  }
 }
 
 }  // namespace

@@ -356,6 +356,34 @@ TEST(MaintainDRedTest, EgdMergedFactKeptBySurvivingWitness) {
   EXPECT_TRUE(InstanceEqualsUpToNulls(session.target, full.value().target));
 }
 
+// The mirror case: deleting the ground copy keeps the merged fact through
+// the existential's witness, but the merge itself lost its ground — the
+// invented null must come back, so the maintain falls back to a re-chase.
+TEST(MaintainDRedTest, DeletingMergeAnchorFallsBackToRechase) {
+  Mapping m = KeyedExistentialMapping();
+  Instance source;
+  source.DeclareRelation("S", 1);
+  source.DeclareRelation("R", 2);
+  ASSERT_TRUE(source.Insert("S", {Value::Int64(1)}).ok());
+  ASSERT_TRUE(source.Insert("R", Row2(1, 10)).ok());
+  auto begun = BeginExchangeSession(m, std::move(source));
+  ASSERT_TRUE(begun.ok()) << begun.status().message();
+  ExchangeSession session = std::move(begun.value());
+  ASSERT_TRUE(session.target.Find("P")->Contains(Row2(1, 10)));
+
+  Delta delta;
+  delta.deletes.DeclareRelation("R", 2);
+  delta.deletes.InsertUnchecked("R", Row2(1, 10));
+  auto maintained = MaintainExchange(session, delta);
+  ASSERT_TRUE(maintained.ok()) << maintained.status().message();
+  EXPECT_EQ(session.fallbacks, 1u);
+  auto full = Exchange(m, session.source, ExchangeOptions{});
+  ASSERT_TRUE(full.ok());
+  EXPECT_TRUE(InstanceEqualsUpToNulls(session.target, full.value().target))
+      << "maintained:\n" << session.target.ToString() << "\nrechased:\n"
+      << full.value().target.ToString();
+}
+
 // Deleting BOTH derivations over-deletes the merged fact, which witnessed
 // the unification — the maintain must fall back to a full re-chase and
 // still land on the right instance.
@@ -441,6 +469,83 @@ TEST(MaintainDRedTest, BeginRejectsComputeCore) {
   options.compute_core = true;
   auto begun = BeginExchangeSession(m, Instance{}, options);
   EXPECT_FALSE(begun.ok());
+}
+
+// ---------------------------------------------------------------------------
+// Skolem-memo collisions under egd merges
+// ---------------------------------------------------------------------------
+
+// Emp(e, d) -> Worker(e, g(d)), Boss(g(d), f(g(d))) with a key egd on
+// Worker(e, .). Two departments of one employee merge g("a") into g("b"),
+// which turns f(g("a")) and f(g("b")) into the same Skolem term: their
+// images must merge as well, and the memo, provenance and session state
+// must all move to the merged vocabulary.
+Mapping NestedSkolemKeyMapping() {
+  model::Schema src("Src", model::Metamodel::kRelational);
+  src.AddRelation(model::Relation(
+      "Emp", {{"eid", model::DataType::Int64(), false},
+              {"dept", model::DataType::String(), false}}, {}));
+  model::Schema tgt("Tgt", model::Metamodel::kRelational);
+  tgt.AddRelation(model::Relation(
+      "Worker", {{"eid", model::DataType::Int64(), false},
+                 {"mgr", model::DataType::Int64(), false}}, {}));
+  tgt.AddRelation(model::Relation(
+      "Boss", {{"mgr", model::DataType::Int64(), false},
+               {"chief", model::DataType::Int64(), false}}, {}));
+  const Term g = Term::Func("g", {V("d")});
+  logic::SoTgd so;
+  so.functions = {"f", "g"};
+  logic::SoTgdClause clause;
+  clause.body = {Atom{"Emp", {V("e"), V("d")}}};
+  clause.head = {Atom{"Worker", {V("e"), g}},
+                 Atom{"Boss", {g, Term::Func("f", {g})}}};
+  so.clauses = {clause};
+  Egd key;
+  key.body = {Atom{"Worker", {V("e"), V("m1")}},
+              Atom{"Worker", {V("e"), V("m2")}}};
+  key.left = "m1";
+  key.right = "m2";
+  return Mapping::FromSoTgd("m", src, tgt, so, {key});
+}
+
+Instance EmpSource() {
+  Instance source;
+  source.DeclareRelation("Emp", 2);
+  source.InsertUnchecked("Emp", {Value::Int64(1), Value::String("a")});
+  source.InsertUnchecked("Emp", {Value::Int64(1), Value::String("b")});
+  return source;
+}
+
+TEST(SkolemCollisionTest, CollidingImagesMergeInOneChase) {
+  auto result = chase::RunChase(NestedSkolemKeyMapping(), EmpSource());
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  // g("a") = g("b") from the key, then f(...) = f(...) from the memo.
+  EXPECT_EQ(result->stats.egd_unifications, 2u);
+  EXPECT_EQ(result->target.Find("Worker")->size(), 1u);
+  EXPECT_EQ(result->target.Find("Boss")->size(), 1u);
+}
+
+TEST(SkolemCollisionTest, MaintainResolvesMergedSkolemTerms) {
+  Mapping m = NestedSkolemKeyMapping();
+  auto begun = BeginExchangeSession(m, EmpSource());
+  ASSERT_TRUE(begun.ok()) << begun.status().message();
+  ExchangeSession session = std::move(begun.value());
+  ASSERT_EQ(session.target.Find("Boss")->size(), 1u);
+
+  // A new employee of department "a" must land on the merged g("a").
+  Delta delta;
+  delta.inserts.DeclareRelation("Emp", 2);
+  delta.inserts.InsertUnchecked("Emp", {Value::Int64(2), Value::String("a")});
+  auto maintained = MaintainExchange(session, delta);
+  ASSERT_TRUE(maintained.ok()) << maintained.status().message();
+  EXPECT_EQ(session.fallbacks, 0u);
+  EXPECT_EQ(session.target.Find("Boss")->size(), 1u);
+
+  auto full = Exchange(m, session.source, ExchangeOptions{});
+  ASSERT_TRUE(full.ok()) << full.status().message();
+  EXPECT_TRUE(InstanceEqualsUpToNulls(session.target, full.value().target))
+      << "maintained:\n" << session.target.ToString() << "\nrechased:\n"
+      << full.value().target.ToString();
 }
 
 // ---------------------------------------------------------------------------
@@ -630,6 +735,148 @@ TEST(IncrementalSweepTest, HundredSeedsMatchFullRechase) {
     // Egd-free head-disjoint sweeps never hit the unification fallback.
     EXPECT_EQ(session.fallbacks, 0u) << "seed " << seed;
   }
+}
+
+// A random second-order case next to key egds: every clause writes its
+// own target relation, and on a keyed relation the second column is a
+// Skolem term over a non-key body variable, f(v) or g(f(v)), so the key
+// egd merges the nulls of one key and Skolem terms over merged nulls
+// collide in the memo. Each clause's remaining head columns mix body
+// variables and nested Skolem terms.
+SweepCase MakeSkolemSweepCase(Rng* rng) {
+  const std::size_t nsrc = 2 + rng->Uniform(2);
+  model::Schema src("Src", model::Metamodel::kRelational);
+  std::vector<std::size_t> arity(nsrc);
+  for (std::size_t i = 0; i < nsrc; ++i) {
+    arity[i] = 2 + rng->Uniform(2);
+    std::vector<model::Attribute> attrs;
+    for (std::size_t c = 0; c < arity[i]; ++c) {
+      attrs.push_back(
+          {"c" + std::to_string(c), model::DataType::Int64(), false});
+    }
+    src.AddRelation(
+        model::Relation("S" + std::to_string(i), std::move(attrs), {}));
+  }
+  model::Schema tgt("Tgt", model::Metamodel::kRelational);
+  logic::SoTgd so;
+  so.functions = {"f", "g"};
+  std::vector<Egd> egds;
+  const std::size_t nclauses = 2 + rng->Uniform(2);
+  for (std::size_t t = 0; t < nclauses; ++t) {
+    logic::SoTgdClause clause;
+    std::vector<std::string> values;  // non-key body variables
+    const std::size_t natoms = 1 + rng->Uniform(2);
+    for (std::size_t a = 0; a < natoms; ++a) {
+      const std::size_t rel = rng->Uniform(nsrc);
+      Atom atom;
+      atom.relation = "S" + std::to_string(rel);
+      for (std::size_t c = 0; c < arity[rel]; ++c) {
+        std::string var = c == 0 ? "k"
+                                 : "v" + std::to_string(a) + "_" +
+                                       std::to_string(c);
+        if (c != 0) values.push_back(var);
+        atom.terms.push_back(V(var));
+      }
+      clause.body.push_back(std::move(atom));
+    }
+    auto value = [&] { return V(values[rng->Uniform(values.size())]); };
+    auto skolem = [&]() -> Term {
+      Term inner = Term::Func("f", {value()});
+      return rng->Chance(0.5) ? Term::Func("g", {inner}) : inner;
+    };
+    const bool keyed = rng->Chance(0.6);
+    const std::size_t head_arity = 2 + rng->Uniform(2);
+    Atom head;
+    head.relation = "T" + std::to_string(t);
+    std::vector<model::Attribute> attrs;
+    for (std::size_t c = 0; c < head_arity; ++c) {
+      if (c == 0) {
+        head.terms.push_back(V("k"));
+      } else if ((c == 1 && keyed) || rng->Chance(0.4)) {
+        head.terms.push_back(skolem());
+      } else {
+        head.terms.push_back(value());
+      }
+      attrs.push_back(
+          {"h" + std::to_string(c), model::DataType::Int64(), false});
+    }
+    if (keyed) {
+      Egd key;
+      Atom a1{head.relation, {V("k"), V("m1")}};
+      Atom a2{head.relation, {V("k"), V("m2")}};
+      for (std::size_t c = 2; c < head_arity; ++c) {
+        a1.terms.push_back(V("p" + std::to_string(c)));
+        a2.terms.push_back(V("q" + std::to_string(c)));
+      }
+      key.body = {std::move(a1), std::move(a2)};
+      key.left = "m1";
+      key.right = "m2";
+      egds.push_back(std::move(key));
+    }
+    clause.head.push_back(std::move(head));
+    tgt.AddRelation(model::Relation("T" + std::to_string(t), std::move(attrs),
+                                    {}));
+    so.clauses.push_back(std::move(clause));
+  }
+  SweepCase out{Mapping::FromSoTgd("sweep", src, tgt, std::move(so),
+                                   std::move(egds)),
+                Instance::EmptyFor(src), std::move(arity)};
+  const std::size_t rows = 6 + rng->Uniform(10);
+  for (std::size_t i = 0; i < out.arity.size(); ++i) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      Tuple tuple;
+      // Few keys, so one key carries several rows and the egds merge.
+      tuple.push_back(Value::Int64(static_cast<std::int64_t>(r % 5)));
+      for (std::size_t c = 1; c < out.arity[i]; ++c) {
+        tuple.push_back(
+            Value::Int64(static_cast<std::int64_t>(rng->Uniform(20))));
+      }
+      out.source.InsertUnchecked("S" + std::to_string(i), std::move(tuple));
+    }
+  }
+  return out;
+}
+
+// Maintain == re-chase over the second-order cases. Deletions that touch
+// a unification witness fall back to a re-chase; every other maintain
+// must resolve merged Skolem terms exactly as a fresh exchange does.
+TEST(IncrementalSweepTest, SkolemEgdSweepMatchesFullRechase) {
+  std::size_t merged = 0;
+  std::size_t incremental = 0;  // maintains answered without a re-chase
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    Rng rng(seed * 2237);
+    SweepCase c = MakeSkolemSweepCase(&rng);
+    auto begun = BeginExchangeSession(c.mapping, c.source);
+    ASSERT_TRUE(begun.ok()) << "seed " << seed << ": "
+                            << begun.status().message();
+    ExchangeSession session = std::move(begun.value());
+    merged += session.state.unification_witnesses.size();
+    const std::size_t epochs = 2 + rng.Uniform(2);
+    for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
+      Delta delta = MakeRandomDelta(c, session.source, epoch, &rng);
+      Instance before = session.target;
+      const std::size_t fallbacks = session.fallbacks;
+      auto maintained = MaintainExchange(session, delta);
+      ASSERT_TRUE(maintained.ok())
+          << "seed " << seed << " epoch " << epoch << ": "
+          << maintained.status().message();
+      if (session.fallbacks == fallbacks) ++incremental;
+      ASSERT_TRUE(ApplyDelta(maintained.value(), &before).ok())
+          << "seed " << seed << " epoch " << epoch;
+      ASSERT_TRUE(before.Equals(session.target))
+          << "seed " << seed << " epoch " << epoch;
+      auto full = Exchange(c.mapping, session.source, ExchangeOptions{});
+      ASSERT_TRUE(full.ok()) << "seed " << seed << " epoch " << epoch;
+      ASSERT_TRUE(InstanceEqualsUpToNulls(session.target, full.value().target))
+          << "seed " << seed << " epoch " << epoch << "\nmaintained:\n"
+          << session.target.ToString() << "\nrechased:\n"
+          << full.value().target.ToString();
+    }
+  }
+  // The sweep must actually merge nulls and maintain some deltas in place,
+  // or it tests nothing new.
+  EXPECT_GT(merged, 0u);
+  EXPECT_GT(incremental, 0u);
 }
 
 // The sweep again, under segmented storage: the maintain path must give
