@@ -1,21 +1,20 @@
-// Chase executor scaling: naive rescan vs index-backed vs semi-naive delta
-// matching, swept over a (tuples x rules x rounds) grid. The workload is a
-// transitive-closure chain — R a path of n edges, each rule copy k closing
-// its own T<k>:
+// Chase scaling of the (semi-naive, delta-matching) chase, swept over a
+// (tuples x rules x rounds) grid. The workload is a transitive-closure
+// chain — R a path of n edges, each rule copy k closing its own T<k>:
 //
 //   R(x,y) -> T<k>(x,y)        T<k>(x,y), R(y,z) -> T<k>(x,z)
 //
 // so chain length n drives both the tuple count (|T| = n(n+1)/2) and the
 // round count (~n), and `rules` multiplies the per-round matching work.
-// This is the shape where rescanning is quadratically wasteful: after the
-// first pass each round adds one path per chain suffix, yet the naive
-// executor re-derives every prior assignment every round.
+// This is the shape where rescanning would be quadratically wasteful:
+// after the first pass each round adds one path per chain suffix, and the
+// delta match touches only those.
 //
-// Besides the google-benchmark numbers, each (mode, n, rules) point records
-// a `chase_scaling.<mode>.n<n>.r<rules>.wall_us` histogram into the shared
-// bench registry — those are the lines bench_all.sh collects into
-// BENCH_<label>.json, which is how the naive/semi-naive gap is tracked
-// across commits (see EXPERIMENTS.md).
+// Besides the google-benchmark numbers, each (n, rules) point records a
+// `chase_scaling.n<n>.r<rules>.wall_us` histogram into the shared bench
+// registry — those are the lines bench_all.sh collects into
+// BENCH_<label>.json, which is how the grid is tracked across commits (see
+// EXPERIMENTS.md).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -37,15 +36,6 @@ using mm2::logic::Term;
 using mm2::logic::Tgd;
 
 Term V(const std::string& name) { return Term::Var(name); }
-
-constexpr const char* kModeNames[] = {"naive", "indexed", "semi_naive"};
-
-mm2::chase::ChaseOptions ModeOptions(std::int64_t mode) {
-  mm2::chase::ChaseOptions options;
-  options.naive = (mode == 0);
-  options.semi_naive = (mode == 2);
-  return options;
-}
 
 std::vector<Tgd> ClosureRules(std::int64_t copies) {
   std::vector<Tgd> tgds;
@@ -76,15 +66,14 @@ Instance ChainInstance(std::int64_t n, std::int64_t copies) {
 }
 
 void BM_ChaseScaling(benchmark::State& state) {
-  std::int64_t mode = state.range(0);
-  std::int64_t n = state.range(1);
-  std::int64_t copies = state.range(2);
+  std::int64_t n = state.range(0);
+  std::int64_t copies = state.range(1);
   std::vector<Tgd> tgds = ClosureRules(copies);
   Instance db = ChainInstance(n, copies);
-  mm2::chase::ChaseOptions options = ModeOptions(mode);
+  mm2::chase::ChaseOptions options;
 
-  std::string point = std::string("chase_scaling.") + kModeNames[mode] +
-                      ".n" + std::to_string(n) + ".r" + std::to_string(copies);
+  std::string point = "chase_scaling.n" + std::to_string(n) + ".r" +
+                      std::to_string(copies);
   auto& wall = mm2::bench::Obs().metrics.GetHistogram(point + ".wall_us");
 
   std::size_t closure = 0;
@@ -114,10 +103,9 @@ void BM_ChaseScaling(benchmark::State& state) {
   state.counters["index_probes"] = static_cast<double>(stats.index_probes);
   state.counters["delta_tuples"] = static_cast<double>(stats.delta_tuples);
 }
-// mode: 0 = naive oracle, 1 = indexed full re-match, 2 = semi-naive deltas.
 BENCHMARK(BM_ChaseScaling)
-    ->ArgNames({"mode", "n", "rules"})
-    ->ArgsProduct({{0, 1, 2}, {8, 16, 32, 64}, {1, 4}})
+    ->ArgNames({"n", "rules"})
+    ->ArgsProduct({{8, 16, 32, 64}, {1, 4}})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -1,37 +1,30 @@
-// Columnar-segment storage vs the indexed baseline (EXPERIMENTS.md section
-// C17). Three experiments:
+// Columnar-segment storage (EXPERIMENTS.md sections C17-C18). Three
+// experiments:
 //
 //   1. BM_SegmentChase — the transitive-closure chase grid from
-//      chase_scaling_bench, run indexed vs segmented. Under kSegmented the
-//      bound-prefix probes are served by sealed-segment binary searches and
-//      the restricted head-check runs through the batched RetainExisting
-//      merge, so the per-point `probes` counter (hash-index probes for
-//      indexed, segment probes for segmented) and the retain compare
-//      tally are the acceptance metrics: on n >= 32 points the segmented
-//      probe + compare traffic must be down >= 2x. Wall-clock is recorded
-//      but not gated — the container pins one CPU and the win is
-//      pointer-chasing avoided, which micro-timing there understates.
+//      chase_scaling_bench. Bound-prefix probes are served by sealed-segment
+//      binary searches and the restricted head-check runs through the
+//      batched RetainExisting merge; the per-point `probes` counter
+//      (segment probes plus declined fallbacks), the retain compare tally
+//      and the tiered-list shape are recorded next to the wall clock.
 //
 //   2. BM_RetainMicro — the head-dedup primitive in isolation: membership
-//      of a sorted candidate batch against n stored rows, answered by
-//      per-tuple std::set::count (the pre-segment hot path, compares
-//      counted via a counting comparator) vs one RetainExisting forward
-//      merge. The merge costs O(rows + candidates) compares total versus
-//      ~log2(n) per candidate for the tree walk.
+//      of a sorted candidate batch against n stored rows, answered by one
+//      RetainExisting galloping merge over the sealed run.
 //
 //   3. BM_MergeMicro — sealing + two-way merging segments, the
-//      round-boundary maintenance cost the segmented mode pays for its
-//      probe wins.
+//      round-boundary maintenance cost the segment list pays for its probe
+//      wins.
 //
-// Each point records `segment.<exp>.<mode>.n<n>.wall_us` histograms plus
-// `.probes` / `.compares` gauges into the shared bench registry for
-// BENCH_<label>.json trajectories.
+// Each point records `segment.<exp>[.segmented].n<n>.wall_us` histograms
+// plus `.probes` / `.compares` gauges into the shared bench registry for
+// BENCH_<label>.json trajectories. The `.segmented` infix is kept from
+// when an indexed arm ran next to it, so recorded baselines still line up.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -50,7 +43,6 @@ using mm2::instance::RelationInstance;
 using mm2::instance::SegmentInserter;
 using mm2::instance::SegmentOpStats;
 using mm2::instance::SegmentPtr;
-using mm2::instance::StorageMode;
 using mm2::instance::Tuple;
 using mm2::instance::Value;
 using mm2::logic::Atom;
@@ -58,8 +50,6 @@ using mm2::logic::Term;
 using mm2::logic::Tgd;
 
 Term V(const std::string& name) { return Term::Var(name); }
-
-constexpr const char* kModeNames[] = {"indexed", "segmented"};
 
 double MicrosSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration_cast<
@@ -92,16 +82,12 @@ Instance ChainInstance(std::int64_t n) {
 }
 
 void BM_SegmentChase(benchmark::State& state) {
-  std::int64_t mode = state.range(0);
-  std::int64_t n = state.range(1);
+  std::int64_t n = state.range(0);
   std::vector<Tgd> tgds = ClosureRules();
   Instance db = ChainInstance(n);
-  mm2::chase::ChaseOptions options;  // semi-naive, restricted
-  options.storage =
-      mode == 1 ? StorageMode::kSegmented : StorageMode::kIndexed;
+  mm2::chase::ChaseOptions options;
 
-  std::string point = std::string("segment.chase.") + kModeNames[mode] +
-                      ".n" + std::to_string(n);
+  std::string point = "segment.chase.segmented.n" + std::to_string(n);
   auto& wall = mm2::bench::Obs().metrics.GetHistogram(point + ".wall_us");
 
   mm2::chase::ChaseStats stats;
@@ -120,11 +106,8 @@ void BM_SegmentChase(benchmark::State& state) {
     benchmark::DoNotOptimize(result);
   }
 
-  // The probe traffic this mode paid: hash-index probes for indexed,
-  // segment-served probes (plus declined fallbacks) for segmented.
-  std::uint64_t probes = mode == 1
-                             ? stats.segment.probes + stats.segment.fallbacks
-                             : stats.index_probes;
+  // The probe traffic: segment-served probes plus declined fallbacks.
+  std::uint64_t probes = stats.segment.probes + stats.segment.fallbacks;
   mm2::bench::Obs().metrics.GetGauge(point + ".probes").Set(
       static_cast<std::int64_t>(probes));
   mm2::bench::Obs().metrics.GetGauge(point + ".compares").Set(
@@ -157,39 +140,21 @@ void BM_SegmentChase(benchmark::State& state) {
       static_cast<double>(stats.segment.merged_rows);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
 }
-// mode: 0 = indexed baseline, 1 = segmented.
 BENCHMARK(BM_SegmentChase)
-    ->ArgNames({"mode", "n"})
-    ->ArgsProduct({{0, 1}, {8, 16, 32, 64}})
+    ->ArgNames({"n"})
+    ->ArgsProduct({{8, 16, 32, 64}})
     ->Unit(benchmark::kMillisecond);
 
-// Counting comparator for the std::set baseline: every tree-walk
-// comparison during count() ticks the shared counter, mirroring the
-// counted-compare discipline of the segment paths.
-struct CountingLess {
-  std::uint64_t* compares;
-  bool operator()(const Tuple& a, const Tuple& b) const {
-    ++*compares;
-    return a < b;
-  }
-};
-
 void BM_RetainMicro(benchmark::State& state) {
-  std::int64_t mode = state.range(0);
-  std::int64_t n = state.range(1);
+  std::int64_t n = state.range(0);
 
   // n stored rows (even keys); candidates sweep evens and odds, so half
   // the batch hits — the mix a restricted head-check sees mid-closure.
   RelationInstance rel(2);
-  if (mode == 1) rel.set_storage_mode(StorageMode::kSegmented);
-  std::uint64_t baseline_compares = 0;
-  std::set<Tuple, CountingLess> baseline(CountingLess{&baseline_compares});
   for (std::int64_t i = 0; i < n; ++i) {
-    Tuple row = {Value::Int64(2 * i), Value::Int64(2 * i + 1)};
-    rel.Insert(row);
-    baseline.insert(row);
+    rel.Insert({Value::Int64(2 * i), Value::Int64(2 * i + 1)});
   }
-  if (mode == 1) rel.PrepareSegments();
+  rel.PrepareSegments();
   std::vector<Tuple> candidates;
   for (std::int64_t i = 0; i < n; ++i) {
     candidates.push_back({Value::Int64(i), Value::Int64(i + 1)});
@@ -198,32 +163,25 @@ void BM_RetainMicro(benchmark::State& state) {
   std::vector<const Tuple*> ptrs;
   for (const Tuple& t : candidates) ptrs.push_back(&t);
 
-  std::string point = std::string("segment.retain.") + kModeNames[mode] +
-                      ".n" + std::to_string(n);
+  std::string point = "segment.retain.segmented.n" + std::to_string(n);
   auto& wall = mm2::bench::Obs().metrics.GetHistogram(point + ".wall_us");
 
   std::uint64_t hits = 0;
   SegmentOpStats before = rel.segment_stats();
-  baseline_compares = 0;
   std::size_t iters = 0;
   for (auto _ : state) {
     ++iters;
     auto start = std::chrono::steady_clock::now();
     hits = 0;
-    if (mode == 1) {
-      std::vector<char> present;
-      rel.RetainExisting(ptrs, &present);
-      for (char p : present) hits += static_cast<std::uint64_t>(p);
-    } else {
-      for (const Tuple* t : ptrs) hits += baseline.count(*t);
-    }
+    std::vector<char> present;
+    rel.RetainExisting(ptrs, &present);
+    for (char p : present) hits += static_cast<std::uint64_t>(p);
     benchmark::DoNotOptimize(hits);
     wall.Record(MicrosSince(start));
   }
 
   // Per-batch compare cost, averaged over the iterations.
-  std::uint64_t compares =
-      mode == 1 ? (rel.segment_stats() - before).compares : baseline_compares;
+  std::uint64_t compares = (rel.segment_stats() - before).compares;
   double per_batch =
       iters == 0 ? 0 : static_cast<double>(compares) / static_cast<double>(iters);
   mm2::bench::Obs().metrics.GetGauge(point + ".compares").Set(
@@ -232,16 +190,15 @@ void BM_RetainMicro(benchmark::State& state) {
   state.counters["hits"] = static_cast<double>(hits);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
 }
-// mode: 0 = per-tuple std::set::count, 1 = batched RetainExisting merge.
 BENCHMARK(BM_RetainMicro)
-    ->ArgNames({"mode", "n"})
-    ->ArgsProduct({{0, 1}, {256, 1024, 4096}})
+    ->ArgNames({"n"})
+    ->ArgsProduct({{256, 1024, 4096}})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_MergeMicro(benchmark::State& state) {
   std::int64_t n = state.range(0);
-  // Two interleaved sorted runs of n rows each — the sealed-run + tail
-  // shape PrepareSegments merges at every round boundary.
+  // Two interleaved sorted runs of n rows each — the shape tiered
+  // compaction merges at a round boundary.
   SegmentOpStats setup;
   SegmentInserter a(2);
   SegmentInserter b(2);

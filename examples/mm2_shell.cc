@@ -64,10 +64,6 @@ void PrintHelp() {
       "  threads <n>                   worker threads for chase-backed\n"
       "                                commands (0 = MM2_THREADS env);\n"
       "                                pool metrics land in stats/explain\n"
-      "  storage indexed|segmented     chase storage representation (or\n"
-      "                                start with MM2_STORAGE=segmented);\n"
-      "                                results bit-identical; segment\n"
-      "                                metrics land in stats/explain\n"
       "  stats [--json]                dump the metrics registry\n"
       "  explain [--json]              ranked cost report (operators,\n"
       "                                chase rules, strata, span phases)\n"
@@ -110,10 +106,6 @@ int main() {
   bool stats_on_quit =
       env_stats != nullptr && std::string(env_stats) != "0" &&
       env_stats[0] != '\0';
-  // MM2_STORAGE picks the chase storage representation for the session;
-  // the `storage` command overrides it per-session.
-  engine.SetStorageMode(
-      mm2::instance::ResolveStorageMode(mm2::instance::StorageMode::kDefault));
   std::cout << "mm2 shell — 'help' for commands\n";
   while (std::cout << "mm2> " << std::flush, std::getline(std::cin, line)) {
     std::istringstream words(line);

@@ -11,10 +11,8 @@ count the bench process ran under): a pair of records taken at different
 thread counts is never compared — parallel walls are not comparable to
 serial walls — and is reported separately instead. Records without the
 field (pre-parallel baselines) compare against anything. The "storage"
-stamp (the MM2_STORAGE-resolved default backend) works the same way:
-records taken under different storage backends are skipped, not compared,
-and --storage MODE refuses records stamped with any other mode outright.
-Records are keyed by (bench, metric) and classified:
+stamp that older baselines carry (from when the storage backend was
+selectable) is ignored: there is one backend now. Records are keyed by (bench, metric) and classified:
 
   time metrics   unit == "us": a candidate slower than
                  baseline * (1 + threshold) AND by more than --abs-floor-us
@@ -56,7 +54,7 @@ def load_records(path):
     out = {}
     for r in records:
         out[(r["bench"], r["metric"])] = (float(r["value"]), r.get("unit", ""),
-                                          r.get("threads"), r.get("storage"))
+                                          r.get("threads"))
     return out
 
 
@@ -92,9 +90,6 @@ def main():
                         help="fail on count-metric drift above the threshold")
     parser.add_argument("--strict-missing", action="store_true",
                         help="fail when the candidate lacks baseline metrics")
-    parser.add_argument("--storage", metavar="MODE",
-                        help="refuse records stamped with a storage mode "
-                             "other than MODE (e.g. 'segmented')")
     parser.add_argument("--list", action="store_true",
                         help="print every compared metric, not just offenders")
     args = parser.parse_args()
@@ -113,36 +108,19 @@ def main():
     baseline = load_records(args.baseline)
     candidate = load_records(args.candidate)
 
-    if args.storage:
-        for label, records in (("baseline", baseline),
-                               ("candidate", candidate)):
-            stamped = {s for (_, _, _, s) in records.values()
-                       if s is not None}
-            bad = stamped - {args.storage}
-            if bad:
-                sys.exit(f"error: {label} contains records stamped "
-                         f"storage={sorted(bad)} but --storage "
-                         f"{args.storage} was requested")
-
     regressions = []
     missing = []
     thread_mismatches = []
-    storage_mismatches = []
     compared = 0
-    for key, (base_value, unit, base_threads,
-              base_storage) in sorted(baseline.items()):
+    for key, (base_value, unit, base_threads) in sorted(baseline.items()):
         bench, metric = key
         if key not in candidate:
             missing.append(key)
             continue
-        cand_value, _, cand_threads, cand_storage = candidate[key]
+        cand_value, _, cand_threads = candidate[key]
         if (base_threads is not None and cand_threads is not None
                 and base_threads != cand_threads):
             thread_mismatches.append((key, base_threads, cand_threads))
-            continue
-        if (base_storage is not None and cand_storage is not None
-                and base_storage != cand_storage):
-            storage_mismatches.append((key, base_storage, cand_storage))
             continue
         compared += 1
         is_time = unit == "us"
@@ -174,20 +152,13 @@ def main():
     new_keys = len([k for k in candidate if k not in baseline])
     print(f"compared {compared} metrics "
           f"({len(missing)} missing in candidate, {new_keys} new, "
-          f"{len(thread_mismatches)} skipped for thread-count mismatch, "
-          f"{len(storage_mismatches)} skipped for storage-mode mismatch)")
+          f"{len(thread_mismatches)} skipped for thread-count mismatch)")
 
     if thread_mismatches:
         for (bench, metric), bt, ct in thread_mismatches[:10]:
             print(f"  not compared (threads {bt} vs {ct}): {bench} {metric}")
         if len(thread_mismatches) > 10:
             print(f"  ... and {len(thread_mismatches) - 10} more")
-
-    if storage_mismatches:
-        for (bench, metric), bs, cs in storage_mismatches[:10]:
-            print(f"  not compared (storage {bs} vs {cs}): {bench} {metric}")
-        if len(storage_mismatches) > 10:
-            print(f"  ... and {len(storage_mismatches) - 10} more")
 
     if missing:
         for bench, metric in missing[:10]:

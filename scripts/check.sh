@@ -24,8 +24,8 @@ if [[ "${1:-}" == "--tsan" ]]; then
   SANITIZERS="thread"
   BUILD_DIR="${BUILD_DIR_TSAN:-build-tsan}"
   # The suites exercising RelationInstance's index/delta machinery
-  # (concurrent-probe test, naive-vs-indexed differential sweep) plus the
-  # parallel executor: the work-stealing pool itself, the threads-axis
+  # (concurrent-probe test, production-vs-reference differential sweep)
+  # plus the parallel executor: the work-stealing pool itself, the threads-axis
   # chase differentials, and the sharded parallel hash join. InternPool /
   # ValueIntern cover the sharded string pool: racing Intern() calls and
   # lock-free Get()s from freshly published chunks.
@@ -40,17 +40,19 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # ClosureSegmentedDiffProperty cover the columnar segment layer: the
   # const PrepareSegments reseal under index_mu_, segment probes racing
   # the chase's parallel match fan-out, and the batched retain pass whose
-  # candidate chunks are evaluated across the worker pool.
+  # candidate chunks are evaluated across the worker pool. SegmentPolicyTest
+  # pins the fixed tier policy those run lists follow.
   # EqualsUpToNulls/TombstoneDeltaView/MaintainDRed/IncrementalSweep cover
   # the incremental-exchange layer: tombstone-aware delta views slicing
   # runs the (const, mutex-guarded) reseal path also mutates, and session
   # maintenance driving Erase/Insert churn against the lazily built
   # log-position map under the same index_mu_.
   # EgdReferenceDiffProperty/EgdBatchTest/SkolemCollisionTest cover the
-  # batched egd pass: the reference sweep and the batch edge cases run it
-  # at 4 threads next to the parallel match fan-out, and the Skolem-memo
-  # collision cases drive its substitution through session maintenance.
-  TEST_FILTER="ChaseDiffProperty|ClosureDiffProperty|ChaseSerializeDiffProperty|RelationInstance|InstanceTest|InternPool|ValueIntern|ThreadPool|ResolveThreadCount|ChaseParallelDiffProperty|ClosureParallelDiffProperty|ChaseStratifiedDiffProperty|ClosureStratifiedDiffProperty|AnalysisTest|WatchdogForesight|ParallelHashJoin|Parallelism|EventLog|CancelToken|Watchdog|SegmentInserterTest|SegmentMergeTest|SegmentProbeTest|RelationSegmentTest|InstanceSegmentTest|ChaseSegmentedDiffProperty|ClosureSegmentedDiffProperty|EqualsUpToNulls|TombstoneDeltaView|MaintainDRed|IncrementalSweep|EgdReferenceDiffProperty|EgdBatchTest|SkolemCollisionTest"
+  # batched egd pass: the reference sweep (tests/reference_chase.h) and the
+  # batch edge cases run it at 4 threads next to the parallel match
+  # fan-out, and the Skolem-memo collision cases drive its substitution
+  # through session maintenance.
+  TEST_FILTER="ChaseDiffProperty|ClosureDiffProperty|ChaseSerializeDiffProperty|RelationInstance|InstanceTest|InternPool|ValueIntern|ThreadPool|ResolveThreadCount|ChaseParallelDiffProperty|ClosureParallelDiffProperty|ChaseStratifiedDiffProperty|ClosureStratifiedDiffProperty|AnalysisTest|WatchdogForesight|ParallelHashJoin|Parallelism|EventLog|CancelToken|Watchdog|SegmentInserterTest|SegmentMergeTest|SegmentProbeTest|RelationSegmentTest|InstanceSegmentTest|ChaseSegmentedDiffProperty|ClosureSegmentedDiffProperty|EqualsUpToNulls|TombstoneDeltaView|MaintainDRed|IncrementalSweep|EgdReferenceDiffProperty|EgdBatchTest|SkolemCollisionTest|SegmentPolicyTest"
 fi
 
 cmake -B "$BUILD_DIR" -S . \
@@ -91,92 +93,33 @@ print(f"structured-log smoke gate passed ({len(lines)} JSON event lines)")
 EOF
 fi
 
-# Segmented-storage smoke gate (default path only): the demo exchange run
-# under MM2_STORAGE=segmented must exit cleanly and print a bit-identical
-# materialized instance + query answer to the indexed run, and the
-# env-unset default (which now resolves to segmented) must match both.
-# stats/explain are excluded — their storage sections legitimately differ
-# by mode.
+# Transcript gates (default path only): drive two recorded shell sessions
+# and diff their stdout against the golden transcripts in tests/golden/.
+# exchange_session: load, exchange, show the materialized instance and
+# answer a query through the mapping. incremental_session: exchange, queue
+# a delta (`apply`), `maintain` it, re-chase the post-delta source from
+# scratch and `eqcheck` the two — the maintained target must be equal up
+# to null renaming. stats/explain are left out: their numbers vary by run.
+# Regenerate a transcript only for an intended output change:
+#   build/examples/mm2_shell < tests/golden/X.mm2 > tests/golden/X.out
 if [[ -z "$TEST_FILTER" && -x "$BUILD_DIR/examples/mm2_shell" ]]; then
-  SEG_SESSION="$(mktemp)"
-  SEG_IDX_OUT="$(mktemp)"
-  SEG_SEG_OUT="$(mktemp)"
-  SEG_DEF_OUT="$(mktemp)"
-  trap 'rm -f "${LOG_TMP:-}" "$SEG_SESSION" "$SEG_IDX_OUT" "$SEG_SEG_OUT" "$SEG_DEF_OUT"' EXIT
-  {
-    echo "load-schema examples/data/school.schema"
-    echo "load-schema examples/data/school_v2.schema"
-    echo "load-instance D examples/data/school.instance"
-    echo "load-mapping examples/data/split.mapping"
-    echo "exchange Dprime mapSSp D"
-    echo "show instance Dprime"
-    echo "answer mapSSp D Q(n, a) :- NamesP(s, n), Foreign(s, a, c)"
-    echo "quit"
-  } > "$SEG_SESSION"
-  MM2_STORAGE=indexed "$BUILD_DIR/examples/mm2_shell" \
-    < "$SEG_SESSION" > "$SEG_IDX_OUT" 2> /dev/null
-  MM2_STORAGE=segmented "$BUILD_DIR/examples/mm2_shell" \
-    < "$SEG_SESSION" > "$SEG_SEG_OUT" 2> /dev/null
-  env -u MM2_STORAGE "$BUILD_DIR/examples/mm2_shell" \
-    < "$SEG_SESSION" > "$SEG_DEF_OUT" 2> /dev/null
-  if ! diff -u "$SEG_IDX_OUT" "$SEG_SEG_OUT"; then
-    echo "error: MM2_STORAGE=segmented demo output diverged from indexed" >&2
-    exit 1
-  fi
-  if ! diff -u "$SEG_SEG_OUT" "$SEG_DEF_OUT"; then
-    echo "error: env-unset default demo output diverged from segmented" >&2
-    exit 1
-  fi
-  echo "segmented-storage smoke gate passed (demo output bit-identical under indexed, segmented, and the env-unset default)"
-fi
-
-# Incremental-exchange smoke gate (default path only): drive an exchange,
-# queue a delta (`apply`), `maintain` it, and re-chase the post-delta
-# source from scratch; the maintained target must be equal up to null
-# renaming (`eqcheck ... equal`) and the whole session byte-identical
-# under MM2_STORAGE=indexed, =segmented, and the env-unset default — the
-# incremental path must not leak storage-mode differences into results.
-if [[ -z "$TEST_FILTER" && -x "$BUILD_DIR/examples/mm2_shell" ]]; then
-  INC_SESSION="$(mktemp)"
-  INC_IDX_OUT="$(mktemp)"
-  INC_SEG_OUT="$(mktemp)"
-  INC_DEF_OUT="$(mktemp)"
-  trap 'rm -f "${LOG_TMP:-}" "$INC_SESSION" "$INC_IDX_OUT" "$INC_SEG_OUT" "$INC_DEF_OUT"' EXIT
-  {
-    echo "load-schema examples/data/school.schema"
-    echo "load-schema examples/data/school_v2.schema"
-    echo "load-instance D examples/data/school.instance"
-    echo "load-instance Dafter examples/data/school_delta.instance"
-    echo "load-mapping examples/data/split.mapping"
-    echo "exchange Dprime mapSSp D"
-    echo 'apply +Names(7, "Zed")'
-    echo 'apply +Addresses(7, "9 Elm", "US")'
-    echo 'apply -Names(2, "Bob")'
-    echo "maintain mapSSp"
-    echo "exchange Rechase mapSSp Dafter"
-    echo "eqcheck Dprime Rechase"
-    echo "show instance Dprime"
-    echo "quit"
-  } > "$INC_SESSION"
-  MM2_STORAGE=indexed "$BUILD_DIR/examples/mm2_shell" \
-    < "$INC_SESSION" > "$INC_IDX_OUT" 2> /dev/null
-  MM2_STORAGE=segmented "$BUILD_DIR/examples/mm2_shell" \
-    < "$INC_SESSION" > "$INC_SEG_OUT" 2> /dev/null
-  env -u MM2_STORAGE "$BUILD_DIR/examples/mm2_shell" \
-    < "$INC_SESSION" > "$INC_DEF_OUT" 2> /dev/null
-  if ! grep -q "eqcheck Dprime Rechase: equal" "$INC_IDX_OUT"; then
+  GOLD_OUT="$(mktemp)"
+  trap 'rm -f "${LOG_TMP:-}" "$GOLD_OUT"' EXIT
+  for session in exchange_session incremental_session; do
+    "$BUILD_DIR/examples/mm2_shell" < "tests/golden/$session.mm2" \
+      > "$GOLD_OUT" 2> /dev/null
+    if ! diff -u "tests/golden/$session.out" "$GOLD_OUT"; then
+      echo "error: $session output diverged from tests/golden/$session.out" >&2
+      exit 1
+    fi
+  done
+  # GOLD_OUT now holds the incremental session's output.
+  if ! grep -q "eqcheck Dprime Rechase: equal" "$GOLD_OUT"; then
     echo "error: maintained target diverged from the from-scratch re-chase" >&2
     exit 1
   fi
-  if ! diff -u "$INC_IDX_OUT" "$INC_SEG_OUT"; then
-    echo "error: incremental session output diverged under MM2_STORAGE=segmented" >&2
-    exit 1
-  fi
-  if ! diff -u "$INC_SEG_OUT" "$INC_DEF_OUT"; then
-    echo "error: incremental session output diverged under the env-unset default" >&2
-    exit 1
-  fi
-  echo "incremental smoke gate passed (maintain ≡ re-chase, byte-identical across storage modes)"
+  rm -f "$GOLD_OUT"
+  echo "transcript gates passed (exchange and incremental sessions match tests/golden/; maintain ≡ re-chase)"
 fi
 
 # DOT-validity gate (default path only): `explain mapping --dot` over the

@@ -22,8 +22,6 @@ struct Table {
   static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
   std::size_t ColumnIndex(std::string_view name) const;
 
-  // Duplicate-eliminated copy.
-  Table Distinct() const;
   // Set equality (ignores row order and duplicates; columns must match by
   // position and name).
   bool SetEquals(const Table& other) const;
@@ -74,12 +72,6 @@ struct EvalOptions {
   // fan-out costs more than the probes it spreads. Tests lower it to force
   // the parallel path on small inputs.
   std::size_t min_parallel_rows = 2048;
-  // Storage representation for base-table probes. kDefault defers to the
-  // MM2_STORAGE environment variable (default: indexed). Under kSegmented,
-  // scan-side equi-join probes on a key prefix binary-search the relation's
-  // sealed columnar segment instead of building a hash index, and Distinct
-  // dedups via a stable sort. Output rows are byte-identical either way.
-  instance::StorageMode storage = instance::StorageMode::kDefault;
 };
 
 // Evaluates a relational expression against a database instance.

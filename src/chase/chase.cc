@@ -114,27 +114,6 @@ bool MatchTuple(const Atom& atom, const Tuple& tuple, Assignment* assignment,
   return true;
 }
 
-void MatchAtomsNaiveRec(const std::vector<Atom>& atoms, std::size_t index,
-                        const Instance& database, Assignment* assignment,
-                        std::vector<Assignment>* out, std::size_t limit) {
-  if (limit != 0 && out->size() >= limit) return;
-  if (index == atoms.size()) {
-    out->push_back(*assignment);
-    return;
-  }
-  const Atom& atom = atoms[index];
-  const instance::RelationInstance* rel = database.Find(atom.relation);
-  if (rel == nullptr) return;
-  for (const Tuple& tuple : rel->tuples()) {
-    std::vector<const std::string*> newly_bound;
-    if (MatchTuple(atom, tuple, assignment, &newly_bound)) {
-      MatchAtomsNaiveRec(atoms, index + 1, database, assignment, out, limit);
-    }
-    for (const std::string* v : newly_bound) assignment->erase(*v);
-    if (limit != 0 && out->size() >= limit) return;
-  }
-}
-
 constexpr std::size_t kNoAnchor = static_cast<std::size_t>(-1);
 
 // Greedy join order: repeatedly pick the atom with the most bound terms
@@ -579,15 +558,6 @@ std::vector<Assignment> MatchAtoms(const std::vector<Atom>& atoms,
   return MatchAtomsIndexed(atoms, database, Assignment(), limit);
 }
 
-std::vector<Assignment> MatchAtomsNaive(const std::vector<Atom>& atoms,
-                                        const Instance& database,
-                                        std::size_t limit) {
-  std::vector<Assignment> out;
-  Assignment assignment;
-  MatchAtomsNaiveRec(atoms, 0, database, &assignment, &out, limit);
-  return out;
-}
-
 namespace {
 
 // Compact, metric-name-safe rule labels: "<kind><index>:<body>-><head>"
@@ -704,11 +674,9 @@ class ChaseRun {
     span.SetAttribute("tgds", fo_tgds.size());
     span.SetAttribute("egds", egds.size());
     span.SetAttribute("source_tuples", read_db().TotalTuples());
-    // The naive oracle always runs serial; otherwise an explicit
-    // ChaseOptions::threads wins over the MM2_THREADS environment variable,
-    // and both default to 1 (the PR-3 serial executor, byte-for-byte).
-    std::size_t workers =
-        options_.naive ? 1 : common::ResolveThreadCount(options_.threads);
+    // An explicit ChaseOptions::threads wins over the MM2_THREADS
+    // environment variable, and both default to 1 (the serial executor).
+    std::size_t workers = common::ResolveThreadCount(options_.threads);
     stats_.workers = workers;
     if (workers > 1) pool_ = std::make_unique<common::ThreadPool>(workers);
     span.SetAttribute("workers", workers);
@@ -748,28 +716,17 @@ class ChaseRun {
     }
     instance::IndexStats storage0 = target_.IndexStatsTotal();
     if (source_ != nullptr) storage0 += source_->IndexStatsTotal();
-    // Columnar storage: resolve the knob once (naive oracle always runs
-    // indexed), snapshot segment counters BEFORE the initial seal so the
-    // startup seals are attributed to this run, then seal every relation.
-    segmented_ = !options_.naive &&
-                 instance::ResolveStorageMode(options_.storage) ==
-                     instance::StorageMode::kSegmented;
-    stats_.segmented = segmented_;
-    instance::SegmentOpStats seg0;
+    // Columnar storage: snapshot segment counters BEFORE the initial seal
+    // so the startup seals are attributed to this run, then seal every
+    // relation.
+    instance::SegmentOpStats seg0 = target_.SegmentStatsTotal();
+    if (source_ != nullptr) seg0 += source_->SegmentStatsTotal();
     // A resumed session pass is delta-sized: relations whose segments were
     // dirtied by maintenance erases defer their O(n) reseal (probes decline
     // to the index path) instead of paying a full rebuild per maintain.
     const bool lazy_seal = session_ != nullptr && session_->initialized;
-    if (segmented_) {
-      seg0 = target_.SegmentStatsTotal();
-      if (source_ != nullptr) seg0 += source_->SegmentStatsTotal();
-      target_.SetSegmentPolicy(instance::ResolveSegmentPolicy(
-          options_.segment_tier_ratio, options_.segment_max_runs));
-      target_.SetStorageMode(instance::StorageMode::kSegmented);
-      target_.PrepareAllSegments(lazy_seal);
-      if (source_ != nullptr) source_->PrepareAllSegments(lazy_seal);
-    }
-    span.SetAttribute("storage_mode", segmented_ ? "segmented" : "indexed");
+    target_.PrepareAllSegments(lazy_seal);
+    if (source_ != nullptr) source_->PrepareAllSegments(lazy_seal);
     // One RuleStats slot per constraint, in iteration order: SO-clauses,
     // then tgds, then egds. Labels are assigned up front so rules that
     // never fire still show up (with zero cost) in the attribution.
@@ -905,7 +862,7 @@ class ChaseRun {
       // into each relation's sealed segment, so next round's prefix probes
       // and retain batches run against current columns again. Resumed
       // passes keep deferring erase-dirtied rebuilds here too.
-      if (segmented_) target_.PrepareAllSegments(lazy_seal);
+      target_.PrepareAllSegments(lazy_seal);
       round_span.SetAttribute("tgd_firings",
                               stats_.tgd_firings - round_firings0);
       round_span.SetAttribute("nulls_created",
@@ -1007,18 +964,16 @@ class ChaseRun {
     stats_.index_probes = storage1.probes - storage0.probes;
     stats_.index_probe_hits = storage1.probe_hits - storage0.probe_hits;
     stats_.index_builds = storage1.builds - storage0.builds;
-    if (segmented_) {
-      instance::SegmentOpStats seg1 = target_.SegmentStatsTotal();
-      if (source_ != nullptr) seg1 += source_->SegmentStatsTotal();
-      stats_.segment = seg1 - seg0;
-      // Candidate-sort compares from the batched retain pre-pass are booked
-      // chase-locally (they never touch a relation's counters).
-      stats_.segment += retain_seg_;
-      stats_.segment_shape = target_.SegmentShapeTotal();
-      if (source_ != nullptr) stats_.segment_shape += source_->SegmentShapeTotal();
-      span.SetAttribute("segment_probes", stats_.segment.probes);
-      span.SetAttribute("segment_compares", stats_.segment.compares);
-    }
+    instance::SegmentOpStats seg1 = target_.SegmentStatsTotal();
+    if (source_ != nullptr) seg1 += source_->SegmentStatsTotal();
+    stats_.segment = seg1 - seg0;
+    // Candidate-sort compares from the batched retain pre-pass are booked
+    // chase-locally (they never touch a relation's counters).
+    stats_.segment += retain_seg_;
+    stats_.segment_shape = target_.SegmentShapeTotal();
+    if (source_ != nullptr) stats_.segment_shape += source_->SegmentShapeTotal();
+    span.SetAttribute("segment_probes", stats_.segment.probes);
+    span.SetAttribute("segment_compares", stats_.segment.compares);
     if (pool_ != nullptr) {
       common::ThreadPoolStats pool_stats = pool_->Stats();
       stats_.parallel_steals = pool_stats.stolen;
@@ -1170,9 +1125,7 @@ class ChaseRun {
                       const Instance& db) {
     BodyMatch out;
     out.watermarks = SnapshotWatermarks(atoms, db);
-    if (options_.naive) {
-      out.assignments = MatchAtomsNaive(atoms, db);
-    } else if (options_.semi_naive && matched_once_[rule_index]) {
+    if (matched_once_[rule_index]) {
       out.delta_pass = true;
       std::size_t consumed = 0;
       out.assignments =
@@ -1183,13 +1136,11 @@ class ChaseRun {
     } else {
       out.assignments = MatchAtomsIndexedTop(atoms, db, pool_.get(), &stats_,
                                              options_.obs, watch_token_);
-      if (options_.semi_naive) {
-        // The first full pass consumes the whole extension as its delta.
-        for (const auto& [name, mark] : out.watermarks) {
-          (void)mark;
-          const instance::RelationInstance* rel = db.Find(name);
-          if (rel != nullptr) stats_.delta_tuples += rel->size();
-        }
+      // The first full pass consumes the whole extension as its delta.
+      for (const auto& [name, mark] : out.watermarks) {
+        (void)mark;
+        const instance::RelationInstance* rel = db.Find(name);
+        if (rel != nullptr) stats_.delta_tuples += rel->size();
       }
     }
     stats_.assignments_matched += out.assignments.size();
@@ -1457,8 +1408,8 @@ class ChaseRun {
     CommitWatermarks(rule_index, match);
     // Premise equalities can unify mid-pass (state-dependent), so only
     // equality-free clauses with lookup-only heads take the batched path.
-    if (segmented_ && options_.restricted && clause.equalities.empty() &&
-        HeadBatchable(clause.head) && !match.assignments.empty()) {
+    if (clause.equalities.empty() && HeadBatchable(clause.head) &&
+        !match.assignments.empty()) {
       return FireBatchedRetain(clause.head, clause.body, match.assignments,
                                [&clause] {
                                  return "unbound head variable in SO-tgd "
@@ -1493,18 +1444,16 @@ class ChaseRun {
         changed = true;
       }
       if (filtered_out) continue;
-      if (options_.restricted) {
-        std::optional<std::vector<Fact>> existing =
-            EvalHead(clause.head, assignment, /*invent=*/false);
-        if (existing.has_value() && AllPresent(*existing)) {
-          // Book the satisfied trigger for session chases (see FireTgd).
-          if (session_ != nullptr && options_.track_provenance) {
-            for (const Fact& f : *existing) {
-              RecordWitness(f, WitnessOf(clause.body, assignment));
-            }
+      std::optional<std::vector<Fact>> existing =
+          EvalHead(clause.head, assignment, /*invent=*/false);
+      if (existing.has_value() && AllPresent(*existing)) {
+        // Book the satisfied trigger for session chases (see FireTgd).
+        if (session_ != nullptr && options_.track_provenance) {
+          for (const Fact& f : *existing) {
+            RecordWitness(f, WitnessOf(clause.body, assignment));
           }
-          continue;
         }
+        continue;
       }
       std::optional<std::vector<Fact>> facts =
           EvalHead(clause.head, assignment, /*invent=*/true);
@@ -1527,8 +1476,8 @@ class ChaseRun {
     // Existential-free heads are fully ground under each assignment, so
     // the MatchAtomsIndexed satisfaction probe is exactly a membership
     // test — batchable as one anti-join per relation.
-    if (segmented_ && options_.restricted && existentials.empty() &&
-        HeadBatchable(tgd.head) && !match.assignments.empty()) {
+    if (existentials.empty() && HeadBatchable(tgd.head) &&
+        !match.assignments.empty()) {
       return FireBatchedRetain(tgd.head, tgd.body, match.assignments,
                                [&tgd] {
                                  return "unbound head variable in tgd: " +
@@ -1536,31 +1485,24 @@ class ChaseRun {
                                });
     }
     for (Assignment assignment : match.assignments) {
-      if (options_.restricted) {
-        // Satisfied already? Look for an extension of the assignment that
-        // covers the head atoms in the target.
-        std::vector<Assignment> extension;
-        if (options_.naive) {
-          Assignment probe = assignment;
-          MatchAtomsNaiveRec(tgd.head, 0, target_, &probe, &extension, 1);
-        } else {
-          extension = MatchAtomsIndexed(tgd.head, target_, assignment, 1);
-        }
-        if (!extension.empty()) {
-          // Session chases book the satisfied trigger too: the probe's
-          // extension binds the head existentials to the satisfying
-          // values, naming the exact facts this trigger supports.
-          if (session_ != nullptr && options_.track_provenance) {
-            std::optional<std::vector<Fact>> satisfied =
-                EvalHead(tgd.head, extension.front(), /*invent=*/false);
-            if (satisfied.has_value()) {
-              for (const Fact& f : *satisfied) {
-                RecordWitness(f, WitnessOf(tgd.body, assignment));
-              }
+      // Satisfied already? Look for an extension of the assignment that
+      // covers the head atoms in the target.
+      std::vector<Assignment> extension =
+          MatchAtomsIndexed(tgd.head, target_, assignment, 1);
+      if (!extension.empty()) {
+        // Session chases book the satisfied trigger too: the probe's
+        // extension binds the head existentials to the satisfying values,
+        // naming the exact facts this trigger supports.
+        if (session_ != nullptr && options_.track_provenance) {
+          std::optional<std::vector<Fact>> satisfied =
+              EvalHead(tgd.head, extension.front(), /*invent=*/false);
+          if (satisfied.has_value()) {
+            for (const Fact& f : *satisfied) {
+              RecordWitness(f, WitnessOf(tgd.body, assignment));
             }
           }
-          continue;
         }
+        continue;
       }
       for (const std::string& e : existentials) {
         assignment[e] = FreshNull();
@@ -1809,10 +1751,8 @@ class ChaseRun {
   // Non-null only when the resolved thread count exceeds 1. Workers live
   // for the whole run; each partitioned match is one fork/join region.
   std::unique_ptr<common::ThreadPool> pool_;
-  // Columnar-storage state: the resolved ChaseOptions::storage knob, and
-  // the chase-local segment counters (batched-retain candidate sorting)
-  // that no single relation can book for itself.
-  bool segmented_ = false;
+  // Chase-local segment counters (batched-retain candidate sorting) that
+  // no single relation can book for itself.
   instance::SegmentOpStats retain_seg_;
   // Stratified-scheduler state, all empty when analysis_ is null. Indexed
   // by stratum id (= the analysis' topological order).
@@ -1876,39 +1816,36 @@ void MirrorStats(obs::Context* obs, const ChaseStats& stats,
   m.GetHistogram("chase.rounds_per_run",
                  {1, 2, 3, 5, 8, 13, 21, 50, 100, 1000, 10000})
       .Record(static_cast<double>(stats.rounds));
-  // Columnar-storage family: materialized only for segmented runs, so
-  // indexed sessions keep their exact pre-existing metric surface.
-  if (stats.segmented) {
-    m.GetGauge("storage.mode.segmented").Set(1);
-    const instance::SegmentOpStats& seg = stats.segment;
-    m.GetCounter("storage.segment.seals").Increment(seg.seals);
-    m.GetCounter("storage.segment.sealed_rows").Increment(seg.sealed_rows);
-    m.GetCounter("storage.segment.merges").Increment(seg.merges);
-    m.GetCounter("storage.segment.merged_rows").Increment(seg.merged_rows);
-    m.GetCounter("storage.segment.compares").Increment(seg.compares);
-    m.GetCounter("storage.segment.probes").Increment(seg.probes);
-    m.GetCounter("storage.segment.probe_hits").Increment(seg.probe_hits);
-    m.GetCounter("storage.segment.skips").Increment(seg.skips);
-    m.GetCounter("storage.segment.fallbacks").Increment(seg.fallbacks);
-    m.GetCounter("storage.segment.retain_batches")
-        .Increment(seg.retain_batches);
-    m.GetCounter("storage.segment.retain_candidates")
-        .Increment(seg.retain_candidates);
-    m.GetCounter("storage.segment.retain_hits").Increment(seg.retain_hits);
-    m.GetCounter("storage.segment.compactions").Increment(seg.compactions);
-    m.GetCounter("storage.segment.delta_slices").Increment(seg.delta_slices);
-    m.GetCounter("storage.segment.delta_slice_rows")
-        .Increment(seg.delta_slice_rows);
-    m.GetCounter("storage.segment.deferred_rebuilds")
-        .Increment(seg.deferred_rebuilds);
-    const instance::SegmentShape& shape = stats.segment_shape;
-    m.GetGauge("storage.segment.live_segments")
-        .Set(static_cast<std::int64_t>(shape.live_segments));
-    m.GetGauge("storage.segment.tiers")
-        .Set(static_cast<std::int64_t>(shape.tiers));
-    m.GetGauge("storage.segment.tail_rows")
-        .Set(static_cast<std::int64_t>(shape.tail_rows));
-  }
+  // Columnar-storage family: every run seals its relations, so it is always
+  // mirrored.
+  const instance::SegmentOpStats& seg = stats.segment;
+  m.GetCounter("storage.segment.seals").Increment(seg.seals);
+  m.GetCounter("storage.segment.sealed_rows").Increment(seg.sealed_rows);
+  m.GetCounter("storage.segment.merges").Increment(seg.merges);
+  m.GetCounter("storage.segment.merged_rows").Increment(seg.merged_rows);
+  m.GetCounter("storage.segment.compares").Increment(seg.compares);
+  m.GetCounter("storage.segment.probes").Increment(seg.probes);
+  m.GetCounter("storage.segment.probe_hits").Increment(seg.probe_hits);
+  m.GetCounter("storage.segment.skips").Increment(seg.skips);
+  m.GetCounter("storage.segment.fallbacks").Increment(seg.fallbacks);
+  m.GetCounter("storage.segment.retain_batches")
+      .Increment(seg.retain_batches);
+  m.GetCounter("storage.segment.retain_candidates")
+      .Increment(seg.retain_candidates);
+  m.GetCounter("storage.segment.retain_hits").Increment(seg.retain_hits);
+  m.GetCounter("storage.segment.compactions").Increment(seg.compactions);
+  m.GetCounter("storage.segment.delta_slices").Increment(seg.delta_slices);
+  m.GetCounter("storage.segment.delta_slice_rows")
+      .Increment(seg.delta_slice_rows);
+  m.GetCounter("storage.segment.deferred_rebuilds")
+      .Increment(seg.deferred_rebuilds);
+  const instance::SegmentShape& shape = stats.segment_shape;
+  m.GetGauge("storage.segment.live_segments")
+      .Set(static_cast<std::int64_t>(shape.live_segments));
+  m.GetGauge("storage.segment.tiers")
+      .Set(static_cast<std::int64_t>(shape.tiers));
+  m.GetGauge("storage.segment.tail_rows")
+      .Set(static_cast<std::int64_t>(shape.tail_rows));
   // Strata + foresight families: materialized only for analysis-scheduled
   // runs, so plain chases keep their exact pre-existing metric surface.
   if (stats.strata_count > 0) {

@@ -42,13 +42,6 @@ std::vector<Assignment> MatchAtoms(const std::vector<logic::Atom>& atoms,
                                    const instance::Instance& database,
                                    std::size_t limit = 0);
 
-// The original nested-loop matcher, kept verbatim as the differential-
-// testing oracle (`ChaseOptions::naive` routes the whole chase through it).
-// Same contract as MatchAtoms; never touches indexes.
-std::vector<Assignment> MatchAtomsNaive(const std::vector<logic::Atom>& atoms,
-                                        const instance::Instance& database,
-                                        std::size_t limit = 0);
-
 // A fact is a (relation, tuple) pair; a witness is the list of source facts
 // that fired the rule deriving a target fact (why-provenance, Section 5).
 struct Fact {
@@ -89,13 +82,20 @@ class Provenance {
   std::map<Fact, std::vector<Witness>> map_;
 };
 
+// The chase is the restricted (standard) chase: a tgd fires only when its
+// head is not already satisfied. Matching is semi-naive: after a rule's
+// first full pass, it re-matches only assignments where at least one body
+// atom binds a tuple from that relation's delta (tuples inserted since the
+// rule's per-relation watermark). Relations are sealed into sorted
+// columnar segments at round boundaries: bound-prefix probes binary-search
+// the sealed runs instead of the hash index, and the restricted head check
+// of existential-free rules runs as one batched retain pass per head
+// relation. A tests-only reference chase (tests/reference_chase.h) is the
+// independent oracle for all of it.
 struct ChaseOptions {
   // Upper bound on chase rounds; exceeding it is an error (the tgd sets the
   // engine generates are weakly acyclic, so this is a safety net).
   std::size_t max_rounds = 10000;
-  // Restricted (standard) chase: fire a tgd only when its head is not
-  // already satisfied. The unrestricted variant is exposed for tests.
-  bool restricted = true;
   // First label to use for invented nulls.
   std::int64_t first_null_label = 0;
   // Trust first_null_label outright instead of scanning source and target
@@ -109,15 +109,6 @@ struct ChaseOptions {
   // acyclic, instead of running into max_rounds. s-t tgd mappings are
   // always weakly acyclic; this matters for intra-schema closures.
   bool require_weak_acyclicity = false;
-  // Evaluation strategy. `naive` restores the original rescan-everything
-  // nested-loop executor — the oracle path for differential testing; it
-  // never probes indexes or consults deltas. Otherwise matching is
-  // index-backed, and `semi_naive` (the default) additionally restricts a
-  // rule's re-match after its first full pass to assignments where at least
-  // one body atom binds a tuple from that relation's delta set (tuples
-  // inserted since the rule's per-relation watermark).
-  bool naive = false;
-  bool semi_naive = true;
   // Worker threads for the partitioned match phase. 0 defers to the
   // MM2_THREADS environment variable, which defaults to 1 (serial — the
   // exact PR-3 code path). The parallel executor partitions each rule's
@@ -125,25 +116,8 @@ struct ChaseOptions {
   // the immutable pre-fire snapshot and concatenates chunk results in
   // order, so firing order — and with it null naming, ChaseStats firing
   // counts, and egd semantics — is identical to the serial run at any
-  // thread count. The naive oracle ignores this and always runs serial.
+  // thread count.
   std::size_t threads = 0;
-  // Physical storage for the match/fire hot paths. kSegmented shadows each
-  // relation with immutable sorted column-major segments (sealed at round
-  // boundaries): bound-prefix probes binary-search the sorted view instead
-  // of the hash index, and restricted-chase head checks for existential-free
-  // rules run as one batched retain/anti-join pass per head relation. Both
-  // are enumeration-order-preserving, so instance text, firing counters,
-  // and null naming stay bit-identical to kIndexed (the differential
-  // oracle). kDefault defers to the MM2_STORAGE environment variable; the
-  // naive oracle ignores the knob entirely.
-  instance::StorageMode storage = instance::StorageMode::kDefault;
-  // LSM tier thresholds for the segmented run lists (see SegmentPolicy):
-  // a freshly sealed tail run is merged into its predecessor only while
-  // newest_rows * tier_ratio >= predecessor_rows, and at most max_runs
-  // runs stay live. 0 defers to MM2_SEGMENT_TIER_RATIO / MM2_SEGMENT_MAX_RUNS
-  // (defaults 4 / 6). Ignored under kIndexed.
-  std::size_t segment_tier_ratio = 0;
-  std::size_t segment_max_runs = 0;
   // --- Resource budgets (the watchdog; 0 = unlimited) --------------------
   // Soft limits checked at every round boundary. On breach the chase stops
   // *gracefully*: Run returns OK with ChaseResult::breach describing which
@@ -236,7 +210,7 @@ struct ChaseStats {
   // that dominates chase cost).
   std::size_t assignments_matched = 0;
   // Storage-layer telemetry for this run, diffed from the instances'
-  // cumulative IndexStats around Run(). Zero on the naive path.
+  // cumulative IndexStats around Run().
   std::uint64_t index_probes = 0;
   std::uint64_t index_probe_hits = 0;
   std::uint64_t index_builds = 0;
@@ -257,16 +231,14 @@ struct ChaseStats {
   std::uint64_t pool_peak_queue = 0;    // max pending tasks observed
   double parallel_busy_us = 0;          // summed per-chunk worker time
   double parallel_wall_us = 0;          // summed fan-out wall time
-  // Segment-storage telemetry, mirrored as `storage.segment.*`. `segmented`
-  // records which backend ran; everything stays zero on indexed runs so
-  // their stats/metric surface is untouched. `segment` is diffed from the
-  // instances' cumulative SegmentOpStats around Run() (like index_probes)
-  // plus the chase-side retain bookkeeping (candidate sorts).
-  bool segmented = false;
+  // Segment-storage telemetry, mirrored as `storage.segment.*`. `segment`
+  // is diffed from the instances' cumulative SegmentOpStats around Run()
+  // (like index_probes) plus the chase-side retain bookkeeping (candidate
+  // sorts).
   instance::SegmentOpStats segment;
   // End-of-run shape of the tiered run lists (summed over the target and,
   // in exchange mode, the sealed source), mirrored as `storage.segment.*`
-  // gauges. Zero on indexed runs.
+  // gauges.
   instance::SegmentShape segment_shape;
   // Stratified-scheduling + foresight telemetry, mirrored as
   // `chase.strata.*` / `chase.foresight.*`. All zero (and the metric

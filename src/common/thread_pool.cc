@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <string>
 
@@ -9,10 +10,13 @@ namespace mm2::common {
 std::size_t ResolveThreadCount(std::size_t requested) {
   std::size_t resolved = requested;
   if (resolved == 0) {
+    // Only a whole, in-range positive integer counts; anything else
+    // ("4abc", an overflowing value) leaves the variable unset.
     if (const char* env = std::getenv("MM2_THREADS")) {
       char* end = nullptr;
+      errno = 0;
       long parsed = std::strtol(env, &end, 10);
-      if (end != env && parsed > 0) {
+      if (end != env && *end == '\0' && errno != ERANGE && parsed > 0) {
         resolved = static_cast<std::size_t>(parsed);
       }
     }

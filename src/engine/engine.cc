@@ -1,5 +1,6 @@
 #include "engine/engine.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -261,7 +262,6 @@ Status Engine::Exchange(const std::string& out_instance,
     op.SetAttribute("source_tuples", source.TotalTuples());
     runtime::ExchangeOptions options;
     options.threads = threads_;
-    options.storage = storage_;
     // Provenance is always on for engine-level exchanges: it is what the
     // `why` command reads back, and breach diagnostics lean on it too.
     options.track_provenance = true;
@@ -515,7 +515,6 @@ Result<runtime::Delta> Engine::Maintain(const std::string& mapping) {
   // The session replays the engine's current knobs, not the ones in force
   // when the exchange opened it.
   session.options.threads = threads_;
-  session.options.storage = storage_;
   session.options.wall_budget_us = budget_wall_us_;
   session.options.tuple_budget = budget_tuples_;
   session.options.rss_budget_kb = budget_rss_kb_;
@@ -677,22 +676,14 @@ Result<std::vector<std::string>> Engine::RunScriptImpl(
     } else if (op == "threads") {
       MM2_RETURN_IF_ERROR(need(1));
       char* end = nullptr;
+      errno = 0;
       long n = std::strtol(tokens[1].c_str(), &end, 10);
-      if (end == tokens[1].c_str() || *end != '\0' || n < 0) {
+      if (end == tokens[1].c_str() || *end != '\0' || n < 0 ||
+          errno == ERANGE) {
         return fail("threads takes a non-negative integer (0 = MM2_THREADS)");
       }
       SetThreads(static_cast<std::size_t>(n));
       log.push_back("threads " + tokens[1]);
-    } else if (op == "storage") {
-      MM2_RETURN_IF_ERROR(need(1));
-      if (tokens[1] == "indexed") {
-        SetStorageMode(instance::StorageMode::kIndexed);
-      } else if (tokens[1] == "segmented") {
-        SetStorageMode(instance::StorageMode::kSegmented);
-      } else {
-        return fail("storage takes 'indexed' or 'segmented'");
-      }
-      log.push_back("storage " + tokens[1]);
     } else if (op == "stats") {
       if (tokens.size() > 1 && tokens[1] != "--json") {
         return fail("stats takes no argument or --json");
@@ -800,8 +791,10 @@ Result<std::vector<std::string>> Engine::RunScriptImpl(
       } else {
         MM2_RETURN_IF_ERROR(need(2));
         char* end = nullptr;
+        errno = 0;
         long long n = std::strtoll(tokens[2].c_str(), &end, 10);
-        if (end == tokens[2].c_str() || *end != '\0' || n < 0) {
+        if (end == tokens[2].c_str() || *end != '\0' || n < 0 ||
+            errno == ERANGE) {
           return fail("budget wants a non-negative integer, got '" +
                       tokens[2] + "'");
         }

@@ -90,15 +90,6 @@ class Engine {
   void SetThreads(std::size_t threads) { threads_ = threads; }
   std::size_t threads() const { return threads_; }
 
-  // Storage representation for chase-backed operators. kDefault defers to
-  // the MM2_STORAGE environment variable (default: segmented); kSegmented
-  // backs the chase hot path with a tiered list of sorted columnar
-  // segments, kIndexed restores the plain set + lazy hash indexes.
-  // Results are bit-identical either way. Scripts set this via the
-  // `storage indexed|segmented` command.
-  void SetStorageMode(instance::StorageMode mode) { storage_ = mode; }
-  instance::StorageMode storage_mode() const { return storage_; }
-
   // Soft resource budgets applied to chase-backed commands (exchange);
   // 0 = unlimited. On a breach the chase stops gracefully: the partial
   // instance is still registered (suffixed diagnostics name the dominant
@@ -181,11 +172,6 @@ class Engine {
   //   match <left> <right>
   //   threads <n>                    (worker threads for chase-backed
   //                                   commands; 0 defers to MM2_THREADS)
-  //   storage indexed|segmented      (chase storage representation;
-  //                                   default defers to MM2_STORAGE.
-  //                                   segmented = sorted columnar segments
-  //                                   on the chase hot path, bit-identical
-  //                                   results)
   //   stats [--json]                 (dump the metrics registry snapshot;
   //                                   --json emits one machine-readable
   //                                   line with the same metric names)
@@ -236,7 +222,6 @@ class Engine {
   obs::Context* obs_ = nullptr;              // attached collector, if any
   std::unique_ptr<obs::Context> owned_obs_;  // fallback, created lazily
   std::size_t threads_ = 0;                  // 0 = MM2_THREADS, else serial
-  instance::StorageMode storage_ = instance::StorageMode::kDefault;
   std::uint64_t budget_wall_us_ = 0;         // soft chase budgets; 0 = off
   std::size_t budget_tuples_ = 0;
   std::size_t budget_rss_kb_ = 0;

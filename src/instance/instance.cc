@@ -12,7 +12,6 @@ RelationInstance::RelationInstance(const RelationInstance& other)
     : arity_(other.arity_),
       tuples_(other.tuples_),
       generation_(other.generation_),
-      storage_mode_(other.storage_mode_),
       policy_(other.policy_),
       runs_(other.runs_),  // segments are immutable — shared, not deep-copied
       // The rebuilt log below is in set order, not insertion order, so the
@@ -42,7 +41,6 @@ RelationInstance& RelationInstance::operator=(const RelationInstance& other) {
   indexes_.clear();
   stats_.Store(IndexStats{});
   seg_stats_.Store(SegmentOpStats{});
-  storage_mode_ = other.storage_mode_;
   policy_ = other.policy_;
   runs_ = other.runs_;
   runs_tiled_ = other.runs_.empty();  // see copy ctor: log is in set order
@@ -60,7 +58,6 @@ RelationInstance::RelationInstance(RelationInstance&& other) noexcept
       log_pos_(std::move(other.log_pos_)),
       log_pos_tracked_(other.log_pos_tracked_),
       indexes_(std::move(other.indexes_)),
-      storage_mode_(other.storage_mode_),
       policy_(other.policy_),
       runs_(std::move(other.runs_)),
       runs_tiled_(other.runs_tiled_),
@@ -84,7 +81,6 @@ RelationInstance& RelationInstance::operator=(
   log_pos_tracked_ = other.log_pos_tracked_;
   indexes_ = std::move(other.indexes_);
   stats_.Store(other.stats_.Load());
-  storage_mode_ = other.storage_mode_;
   policy_ = other.policy_;
   runs_ = std::move(other.runs_);
   runs_tiled_ = other.runs_tiled_;
@@ -135,9 +131,10 @@ bool RelationInstance::Insert(Tuple tuple) {
   const Tuple* node = &*it;
   log_.push_back(node);
   if (log_pos_tracked_) log_pos_.emplace(node, log_.size() - 1);
-  // Segment tail: remember the insert so the next seal can merge
-  // incrementally. Pointless once dirty (a full rebuild is coming anyway).
-  if (storage_mode_ == StorageMode::kSegmented && !segment_dirty_) {
+  // Segment tail: once runs exist, remember the insert so the next seal
+  // can merge incrementally. Pointless before the first seal or once dirty
+  // (a full rebuild is coming anyway).
+  if (!runs_.empty() && !segment_dirty_) {
     tail_.push_back(*node);
   }
   std::unique_lock<std::shared_mutex> lock(index_mu_);
@@ -269,20 +266,6 @@ RelationInstance::TupleRefs RelationInstance::DeltaSince(
 
 IndexStats RelationInstance::index_stats() const { return stats_.Load(); }
 
-void RelationInstance::set_storage_mode(StorageMode mode) {
-  mode = ResolveStorageMode(mode);
-  if (mode == storage_mode_) return;
-  storage_mode_ = mode;
-  // Either direction invalidates the incremental state: entering
-  // kSegmented means past inserts were not tail-tracked; leaving it drops
-  // the view entirely.
-  runs_.clear();
-  runs_tiled_ = true;
-  tail_.clear();
-  segment_dirty_ = false;
-  segment_generation_ = 0;
-}
-
 void RelationInstance::CompactLocked(SegmentOpStats* stats) const {
   // Size-tiered compaction: merge the two newest runs while the newest is
   // not "small enough" relative to its predecessor, or while the run list
@@ -314,8 +297,8 @@ void RelationInstance::PrepareSegments(bool defer_dirty_rebuild) const {
   std::unique_lock<std::shared_mutex> lock(index_mu_);
   if (SegmentCurrent()) return;
   SegmentOpStats local;
-  if (defer_dirty_rebuild && storage_mode_ == StorageMode::kSegmented &&
-      segment_dirty_ && runs_tiled_ && !runs_.empty()) {
+  if (defer_dirty_rebuild && segment_dirty_ && runs_tiled_ &&
+      !runs_.empty()) {
     // Erase-dirtied view inside a delta-sized pass: the pass issues few
     // probes, so the O(n) rebuild below would dominate it. Leave the view
     // stale while tombstone debt is low — probes decline to the index path
@@ -329,8 +312,7 @@ void RelationInstance::PrepareSegments(bool defer_dirty_rebuild) const {
       return;
     }
   }
-  if (storage_mode_ == StorageMode::kSegmented && !runs_.empty() &&
-      !segment_dirty_ && runs_tiled_ && !tail_.empty()) {
+  if (!runs_.empty() && !segment_dirty_ && runs_tiled_ && !tail_.empty()) {
     // Insert-only epoch: seal the tail into a NEW small run covering the
     // log span since the last seal — the base runs are left untouched, and
     // tiered compaction below decides how much merging is actually due.
@@ -345,9 +327,10 @@ void RelationInstance::PrepareSegments(bool defer_dirty_rebuild) const {
     runs_.push_back(std::move(run));
     CompactLocked(&local);
   } else {
-    // Full rebuild: set iteration is already sorted and unique. One run
-    // covering the whole log restores the tiling invariant (copied
-    // relations arrive here with untrusted spans).
+    // Full rebuild (the first seal, or after erases): set iteration is
+    // already sorted and unique. One run covering the whole log restores
+    // the tiling invariant (copied relations arrive here with untrusted
+    // spans).
     runs_.clear();
     SealedRun run;
     run.segment = SegmentInserter::FromSorted(arity_, tuples_, &local);
@@ -364,14 +347,11 @@ void RelationInstance::PrepareSegments(bool defer_dirty_rebuild) const {
 
 std::optional<SegmentRanges> RelationInstance::SegmentProbePrefix(
     const Tuple& key) const {
-  // Declines are counted only under kSegmented: the chase probes here
-  // unconditionally before the hash path, and indexed sessions must keep
-  // their zero-atomic hot path (and their exact telemetry surface).
+  // Every decline counts as a fallback, a never-sealed relation's too:
+  // callers then answer from the hash index.
   if (runs_.empty() || segment_dirty_ || segment_generation_ != generation_ ||
       key.size() > arity_ || runs_.size() > SegmentRanges::kMaxRanges) {
-    if (storage_mode_ == StorageMode::kSegmented) {
-      seg_stats_.fallbacks.fetch_add(1, std::memory_order_relaxed);
-    }
+    seg_stats_.fallbacks.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
   SegmentOpStats local;
@@ -392,12 +372,11 @@ std::optional<SegmentRanges> RelationInstance::SegmentProbePrefix(
 
 DeltaView RelationInstance::DeltaViewSince(std::size_t watermark) const {
   DeltaView view;
-  // Slices require trustworthy run/log spans: segmented mode, spans tiling
+  // Slices require trustworthy run/log spans: sealed runs whose spans tile
   // the log. Anything else is the log-backed path. An erase-containing
   // epoch (segment_dirty_) does NOT force the fallback: the tiling is
   // still exact, and tombstones are accounted per run below.
-  if (storage_mode_ != StorageMode::kSegmented || !runs_tiled_ ||
-      runs_.empty()) {
+  if (!runs_tiled_ || runs_.empty()) {
     view.refs = DeltaSince(watermark);
     return view;
   }
@@ -470,8 +449,7 @@ void RelationInstance::RetainExisting(
   local.retain_candidates += sorted_candidates.size();
   const bool current = SegmentCurrent();
   // An insert-only tail still answers exactly: runs ∪ tail == extension.
-  const bool incremental = !current && !runs_.empty() && !segment_dirty_ &&
-                           storage_mode_ == StorageMode::kSegmented;
+  const bool incremental = !current && !runs_.empty() && !segment_dirty_;
   if (current || incremental) {
     std::vector<Tuple> tail_sorted;
     if (incremental && !tail_.empty()) {
@@ -579,8 +557,6 @@ Instance Instance::EmptyFor(const model::Schema& schema) {
 
 void Instance::DeclareRelation(std::string_view name, std::size_t arity) {
   RelationInstance fresh(arity);
-  fresh.set_storage_mode(storage_mode_);
-  fresh.set_segment_policy(segment_policy_);
   // Heterogeneous find first: redeclaration (the UnionWith/runtime refresh
   // pattern) never allocates a key string.
   auto it = relations_.find(name);
@@ -662,16 +638,6 @@ IndexStats Instance::IndexStatsTotal() const {
   IndexStats total;
   for (const auto& [name, rel] : relations_) total += rel.index_stats();
   return total;
-}
-
-void Instance::SetStorageMode(StorageMode mode) {
-  storage_mode_ = ResolveStorageMode(mode);
-  for (auto& [name, rel] : relations_) rel.set_storage_mode(storage_mode_);
-}
-
-void Instance::SetSegmentPolicy(const SegmentPolicy& policy) {
-  segment_policy_ = policy;
-  for (auto& [name, rel] : relations_) rel.set_segment_policy(policy);
 }
 
 void Instance::PrepareAllSegments(bool defer_dirty_rebuild) const {

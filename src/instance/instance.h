@@ -137,13 +137,12 @@ class RelationInstance {
   // Inserts; returns true if the tuple was new. Dies on arity mismatch in
   // debug builds; callers go through Instance::Insert for checked inserts.
   bool Insert(Tuple tuple);
-  // Exact membership. When the tiered segment view is current (kSegmented,
-  // nothing changed since the last seal), the answer comes from binary
-  // searches over the dense sorted runs instead of chasing set nodes; the
-  // set path answers otherwise. Same result either way.
+  // Exact membership. When the tiered segment view is current (nothing
+  // changed since the last seal), the answer comes from binary searches
+  // over the dense sorted runs instead of chasing set nodes; the set path
+  // answers otherwise. Same result either way.
   bool Contains(const Tuple& tuple) const {
-    if (storage_mode_ == StorageMode::kSegmented && SegmentCurrent() &&
-        tuple.size() == arity_) {
+    if (SegmentCurrent() && tuple.size() == arity_) {
       for (const SealedRun& run : runs_) {
         if (run.segment->Contains(tuple, nullptr)) return true;
       }
@@ -177,34 +176,36 @@ class RelationInstance {
   IndexStats index_stats() const;
 
   // --- Tiered columnar segment view (sorted, immutable; see segment.h) ---
-  // Under kSegmented the relation maintains an LSM-style list of sealed
-  // runs plus a mutable tail: Insert appends set-new tuples to the tail,
-  // and PrepareSegments() seals the tail into a NEW small run (sort only —
-  // no re-merge of the base), then size-tiered compaction merges the
-  // newest runs only while they outgrow their tier (SegmentPolicy), so
-  // total merge work is O(n log n) across a chase instead of O(n) rows per
-  // round. Erase/Clear mark the view dirty, forcing a full rebuild from
-  // the set (already sorted+unique) at the next seal. Under kIndexed the
-  // segment state is dropped; probes and retains fall back to the hash/set
-  // paths, so the mode never changes observable results.
-  void set_storage_mode(StorageMode mode);
-  StorageMode storage_mode() const { return storage_mode_; }
+  // The first PrepareSegments() seals the whole extension into one run.
+  // From then on the relation keeps an LSM-style list of sealed runs plus
+  // a mutable tail: Insert appends set-new tuples to the tail, and the
+  // next seal turns the tail into a NEW small run (sort only — no re-merge
+  // of the base), then size-tiered compaction merges the newest runs only
+  // while they outgrow their tier (SegmentPolicy), so total merge work is
+  // O(n log n) across a chase instead of O(n) rows per round. Erase/Clear
+  // mark the view dirty, forcing a full rebuild from the set (already
+  // sorted+unique) at the next seal. A relation that was never sealed
+  // answers every probe and retain from the hash/set paths; results are
+  // the same either way.
 
-  // Compaction thresholds for this relation's run list (kSegmented only).
+  // Compaction thresholds for this relation's run list. Production runs
+  // the SegmentPolicy defaults; compaction unit tests shrink them.
   void set_segment_policy(const SegmentPolicy& policy) { policy_ = policy; }
   const SegmentPolicy& segment_policy() const { return policy_; }
 
   // (Re)seals the segment view to cover the current extension. Const with
   // cache semantics like EnsureIndex, so const source instances can be
-  // sealed once before a run. Works in any mode (full rebuild from the
-  // set); incremental tail seal + tiered compaction only under kSegmented.
-  // No-op if current. With defer_dirty_rebuild, an erase-dirtied view with
-  // few tombstones (< 1/4 of the live rows) skips the O(n) full rebuild and
-  // stays stale: probes and retains decline to the index path (correct,
-  // counted as fallbacks) and DeltaViewSince keeps serving exactly. The
-  // rebuild still fires once tombstones pile past the threshold, so the
-  // deferral is amortized-O(1) per erase — this is what keeps delta-sized
-  // maintenance passes from paying a full reseal of every touched relation.
+  // sealed once before a run. The first seal (and any erase-dirtied one)
+  // is a full rebuild from the set; later ones seal the tail incrementally
+  // and compact. No-op if current. With defer_dirty_rebuild, an
+  // erase-dirtied view with few tombstones (< 1/4 of the live rows) skips
+  // the O(n) full rebuild and stays stale: probes and retains decline to
+  // the index path (correct, counted as fallbacks) and DeltaViewSince keeps
+  // serving exactly. The rebuild still fires once tombstones pile past the
+  // threshold, so the deferral is amortized-O(1) per erase — this is what
+  // keeps delta-sized maintenance passes (on the session target and on the
+  // session source alike) from paying a full reseal of every touched
+  // relation.
   void PrepareSegments(bool defer_dirty_rebuild = false) const;
 
   // True when the sealed runs reflect the full extension (nothing changed
@@ -218,7 +219,7 @@ class RelationInstance {
   // runs as up to one row range per run. SegmentRangeCursor streams the
   // union in set (sorted) order — bit-identical enumeration to the hash
   // probe. nullopt when the view is stale or absent (callers fall back to
-  // Probe, and the decline is counted under kSegmented); an engaged empty
+  // Probe, and every decline counts as a fallback); an engaged empty
   // answer still counts as a served probe. The segment pointers follow the
   // same validity contract as Probe(): no mutation or PrepareSegments
   // until the caller is done.
@@ -240,7 +241,7 @@ class RelationInstance {
   // the tombstone-skipping log-ref path, untouched runs keep serving
   // zero-copy slices. Falls back to a pure log-backed view (refs ==
   // DeltaSince) whenever run/log spans cannot be trusted — copied
-  // relations, non-segmented modes. view.size() always equals
+  // relations, never-sealed relations. view.size() always equals
   // DeltaSince(watermark).size().
   DeltaView DeltaViewSince(std::size_t watermark) const;
 
@@ -309,6 +310,7 @@ class RelationInstance {
     std::atomic<std::uint64_t> compactions{0};
     std::atomic<std::uint64_t> delta_slices{0};
     std::atomic<std::uint64_t> delta_slice_rows{0};
+    std::atomic<std::uint64_t> deferred_rebuilds{0};
 
     void Add(const SegmentOpStats& s) {
       auto bump = [](std::atomic<std::uint64_t>& c, std::uint64_t v) {
@@ -329,6 +331,7 @@ class RelationInstance {
       bump(compactions, s.compactions);
       bump(delta_slices, s.delta_slices);
       bump(delta_slice_rows, s.delta_slice_rows);
+      bump(deferred_rebuilds, s.deferred_rebuilds);
     }
     void Store(const SegmentOpStats& s) {
       seals.store(s.seals, std::memory_order_relaxed);
@@ -346,6 +349,7 @@ class RelationInstance {
       compactions.store(s.compactions, std::memory_order_relaxed);
       delta_slices.store(s.delta_slices, std::memory_order_relaxed);
       delta_slice_rows.store(s.delta_slice_rows, std::memory_order_relaxed);
+      deferred_rebuilds.store(s.deferred_rebuilds, std::memory_order_relaxed);
     }
     SegmentOpStats Load() const {
       SegmentOpStats s;
@@ -364,6 +368,7 @@ class RelationInstance {
       s.compactions = compactions.load(std::memory_order_relaxed);
       s.delta_slices = delta_slices.load(std::memory_order_relaxed);
       s.delta_slice_rows = delta_slice_rows.load(std::memory_order_relaxed);
+      s.deferred_rebuilds = deferred_rebuilds.load(std::memory_order_relaxed);
       return s;
     }
   };
@@ -416,13 +421,12 @@ class RelationInstance {
 
   // Tiered view state. Runs are immutable and shared across copies, oldest
   // (largest) first; `tail_` holds tuples inserted since the last seal
-  // (kSegmented only); `segment_dirty_` marks erases/clears, which
+  // (only once runs exist); `segment_dirty_` marks erases/clears, which
   // invalidate the tail and force a full rebuild. `segment_generation_` is
   // the generation the sealed view corresponds to. `runs_tiled_` records
   // whether the run/log spans can be trusted: copies rebuild the log in
   // set order, which breaks the tiling, so copied relations decline slice
   // serving until the next full rebuild restores it.
-  StorageMode storage_mode_ = StorageMode::kIndexed;
   SegmentPolicy policy_;
   mutable std::vector<SealedRun> runs_;
   mutable bool runs_tiled_ = true;
@@ -472,15 +476,6 @@ class Instance {
   // Largest labeled-null label present, or -1.
   std::int64_t MaxNullLabel() const;
 
-  // Applies `mode` to every existing relation and to relations declared
-  // later (the chase declares target relations lazily via InsertFacts).
-  void SetStorageMode(StorageMode mode);
-  StorageMode storage_mode() const { return storage_mode_; }
-
-  // Applies compaction thresholds to every existing relation and to
-  // relations declared later.
-  void SetSegmentPolicy(const SegmentPolicy& policy);
-
   // Seals every relation's segment view (const cache semantics; see
   // RelationInstance::PrepareSegments).
   void PrepareAllSegments(bool defer_dirty_rebuild = false) const;
@@ -509,8 +504,6 @@ class Instance {
 
  private:
   std::map<std::string, RelationInstance, std::less<>> relations_;
-  StorageMode storage_mode_ = StorageMode::kIndexed;
-  SegmentPolicy segment_policy_;
 };
 
 // Equivalence up to a bijective renaming of labeled nulls: true iff some

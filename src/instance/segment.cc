@@ -1,9 +1,6 @@
 #include "instance/segment.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 
 namespace mm2::instance {
 
@@ -23,55 +20,6 @@ void Count(SegmentOpStats* stats, std::uint64_t n) {
 }
 
 }  // namespace
-
-StorageMode ResolveStorageMode(StorageMode requested) {
-  if (requested != StorageMode::kDefault) return requested;
-  const char* env = std::getenv("MM2_STORAGE");
-  // Segmented is the default since the tiered segment list reached
-  // wall-clock parity (EXPERIMENTS.md §C18); "indexed" selects the oracle.
-  if (env == nullptr || env[0] == '\0') return StorageMode::kSegmented;
-  if (std::strcmp(env, "indexed") == 0) return StorageMode::kIndexed;
-  return StorageMode::kSegmented;
-}
-
-const char* StorageModeName(StorageMode mode) {
-  switch (mode) {
-    case StorageMode::kDefault:
-      return "default";
-    case StorageMode::kIndexed:
-      return "indexed";
-    case StorageMode::kSegmented:
-      return "segmented";
-  }
-  return "indexed";
-}
-
-SegmentPolicy ResolveSegmentPolicy(std::size_t tier_ratio,
-                                   std::size_t max_runs) {
-  SegmentPolicy defaults;
-  auto from_env = [](const char* name, std::size_t fallback) {
-    const char* env = std::getenv(name);
-    if (env == nullptr || env[0] == '\0') return fallback;
-    char* end = nullptr;
-    unsigned long v = std::strtoul(env, &end, 10);
-    if (end == env || *end != '\0') return fallback;
-    return static_cast<std::size_t>(v);
-  };
-  SegmentPolicy policy;
-  policy.tier_ratio = tier_ratio != 0
-                          ? tier_ratio
-                          : from_env("MM2_SEGMENT_TIER_RATIO",
-                                     defaults.tier_ratio);
-  policy.max_runs = max_runs != 0
-                        ? max_runs
-                        : from_env("MM2_SEGMENT_MAX_RUNS", defaults.max_runs);
-  if (policy.tier_ratio < 2) policy.tier_ratio = 2;
-  if (policy.max_runs < 1) policy.max_runs = 1;
-  if (policy.max_runs > SegmentRanges::kMaxRanges) {
-    policy.max_runs = SegmentRanges::kMaxRanges;
-  }
-  return policy;
-}
 
 // ---------------------------------------------------------------------------
 // Segment

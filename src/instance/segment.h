@@ -12,23 +12,6 @@
 
 namespace mm2::instance {
 
-// Which physical representation the storage-facing hot paths run on.
-//  - kIndexed: the node-stable std::set plus on-demand hash indexes — the
-//    PR-3 executor, kept as the differential oracle for the segment paths.
-//  - kSegmented: the same canonical set, shadowed by immutable sorted
-//    column-major segments (below); bound-prefix probes and head-dedup
-//    retain passes are served by merges over the sorted view instead of
-//    per-tuple hash probes. Output is bit-identical by construction.
-//  - kDefault: defer to the MM2_STORAGE environment variable
-//    ("segmented" | "indexed"; unset means segmented — the tiered segment
-//    list won the closure-grid wall-clock race, see EXPERIMENTS.md §C18.
-//    The indexed path stays selectable as the differential oracle).
-enum class StorageMode { kDefault, kIndexed, kSegmented };
-
-// Resolves kDefault against MM2_STORAGE; explicit modes pass through.
-StorageMode ResolveStorageMode(StorageMode requested);
-const char* StorageModeName(StorageMode mode);
-
 // Size-tiered compaction thresholds for the LSM-style segment list. After a
 // tail seal appends a new run, the newest run is merged into its predecessor
 // while `newest_rows * tier_ratio >= predecessor_rows` (the new run is not
@@ -41,13 +24,6 @@ struct SegmentPolicy {
   std::size_t tier_ratio = 4;
   std::size_t max_runs = 6;
 };
-
-// Resolves policy knobs: nonzero arguments win, else the MM2_SEGMENT_TIER_RATIO
-// / MM2_SEGMENT_MAX_RUNS environment variables, else the defaults above.
-// tier_ratio is clamped to >= 2, max_runs to [1, SegmentRanges::kMaxRanges]
-// so every live run list stays probeable.
-SegmentPolicy ResolveSegmentPolicy(std::size_t tier_ratio,
-                                   std::size_t max_runs);
 
 // Cumulative telemetry for every segment-layer operation. The chase diffs
 // per-relation totals around a run (exactly like IndexStats) and mirrors
@@ -140,7 +116,7 @@ struct SegmentShape {
 // binary searches over one column touch dense 16-byte cells instead of
 // chasing std::set nodes. Rows are ordered by full lexicographic tuple
 // order — the same order std::set<Tuple> iterates in, which is what makes
-// segment-served enumeration bit-identical to the indexed path. Segments
+// segment-served enumeration bit-identical to the hash-index path. Segments
 // are shared by shared_ptr on copy (they never mutate after Seal).
 class Segment {
  public:
@@ -257,7 +233,7 @@ SegmentPtr MergeSegments(const std::vector<SegmentPtr>& segments,
 // A prefix-probe answer over the tiered segment list: up to kMaxRanges
 // per-run row ranges, one per live run that holds matching rows. Fixed
 // capacity keeps the probe hot path allocation-free; relations never grow
-// more live runs than this (SegmentPolicy::max_runs is clamped to it).
+// more live runs than this (SegmentPolicy::max_runs is below it).
 // Runs are pairwise disjoint (the tail only ever receives set-new tuples),
 // so the union of the ranges is duplicate-free by construction.
 struct SegmentRanges {

@@ -261,9 +261,7 @@ void BuildStorage(const MetricsSnapshot& metrics, ProfileReport* report) {
     }
   }
   for (const GaugeSnapshot& g : metrics.gauges) {
-    if (g.name == "storage.mode.segmented") {
-      s.segmented = g.value != 0;
-    } else if (g.name == "storage.segment.live_segments") {
+    if (g.name == "storage.segment.live_segments") {
       s.segment_live_segments = static_cast<std::uint64_t>(g.value);
     } else if (g.name == "storage.segment.tiers") {
       s.segment_tiers = static_cast<std::uint64_t>(g.value);
@@ -511,49 +509,44 @@ std::vector<std::string> ProfileReport::Lines() const {
     rows.push_back({"chase.delta.rule_skips",
                     std::to_string(storage.delta_rule_skips)});
     rows.push_back({"tuples/probe", Fixed1(hit_rate)});
-    // The segment block (and the mode line) appears only for segmented
-    // sessions — indexed sessions keep their exact pre-existing report.
-    if (storage.segmented) {
-      rows.push_back({"mode", "segmented"});
-      rows.push_back(
-          {"segment.seals", std::to_string(storage.segment_seals)});
-      rows.push_back({"segment.sealed_rows",
-                      std::to_string(storage.segment_sealed_rows)});
-      rows.push_back(
-          {"segment.merges", std::to_string(storage.segment_merges)});
-      rows.push_back({"segment.merged_rows",
-                      std::to_string(storage.segment_merged_rows)});
-      rows.push_back(
-          {"segment.compares", std::to_string(storage.segment_compares)});
-      rows.push_back(
-          {"segment.probes", std::to_string(storage.segment_probes)});
-      rows.push_back(
-          {"segment.probe_hits", std::to_string(storage.segment_probe_hits)});
-      rows.push_back(
-          {"segment.skips", std::to_string(storage.segment_skips)});
-      rows.push_back(
-          {"segment.fallbacks", std::to_string(storage.segment_fallbacks)});
-      rows.push_back({"segment.retain_batches",
-                      std::to_string(storage.segment_retain_batches)});
-      rows.push_back({"segment.retain_candidates",
-                      std::to_string(storage.segment_retain_candidates)});
-      rows.push_back({"segment.retain_hits",
-                      std::to_string(storage.segment_retain_hits)});
-      rows.push_back({"segment.compactions",
-                      std::to_string(storage.segment_compactions)});
-      rows.push_back({"segment.delta_slices",
-                      std::to_string(storage.segment_delta_slices)});
-      rows.push_back({"segment.delta_slice_rows",
-                      std::to_string(storage.segment_delta_slice_rows)});
-      // Tier silhouette: how the LSM run list looked when the last run
-      // finished (runs x tiers, plus any rows still waiting in the tail).
-      rows.push_back({"segment.tier_shape",
-                      std::to_string(storage.segment_live_segments) +
-                          " runs / " +
-                          std::to_string(storage.segment_tiers) + " tiers / " +
-                          std::to_string(storage.segment_tail_rows) +
-                          " tail rows"});
-    }
+    rows.push_back(
+        {"segment.seals", std::to_string(storage.segment_seals)});
+    rows.push_back({"segment.sealed_rows",
+                    std::to_string(storage.segment_sealed_rows)});
+    rows.push_back(
+        {"segment.merges", std::to_string(storage.segment_merges)});
+    rows.push_back({"segment.merged_rows",
+                    std::to_string(storage.segment_merged_rows)});
+    rows.push_back(
+        {"segment.compares", std::to_string(storage.segment_compares)});
+    rows.push_back(
+        {"segment.probes", std::to_string(storage.segment_probes)});
+    rows.push_back(
+        {"segment.probe_hits", std::to_string(storage.segment_probe_hits)});
+    rows.push_back(
+        {"segment.skips", std::to_string(storage.segment_skips)});
+    rows.push_back(
+        {"segment.fallbacks", std::to_string(storage.segment_fallbacks)});
+    rows.push_back({"segment.retain_batches",
+                    std::to_string(storage.segment_retain_batches)});
+    rows.push_back({"segment.retain_candidates",
+                    std::to_string(storage.segment_retain_candidates)});
+    rows.push_back({"segment.retain_hits",
+                    std::to_string(storage.segment_retain_hits)});
+    rows.push_back({"segment.compactions",
+                    std::to_string(storage.segment_compactions)});
+    rows.push_back({"segment.delta_slices",
+                    std::to_string(storage.segment_delta_slices)});
+    rows.push_back({"segment.delta_slice_rows",
+                    std::to_string(storage.segment_delta_slice_rows)});
+    // Tier silhouette: how the LSM run list looked when the last run
+    // finished (runs x tiers, plus any rows still waiting in the tail).
+    rows.push_back({"segment.tier_shape",
+                    std::to_string(storage.segment_live_segments) +
+                        " runs / " +
+                        std::to_string(storage.segment_tiers) + " tiers / " +
+                        std::to_string(storage.segment_tail_rows) +
+                        " tail rows"});
     for (std::string& line : Tabulate(rows, "lr")) {
       lines.push_back(std::move(line));
     }
@@ -707,30 +700,27 @@ std::string ProfileReport::ToJson() const {
      << ", \"index_probe_hits\": " << storage.index_probe_hits
      << ", \"index_builds\": " << storage.index_builds
      << ", \"delta_tuples\": " << storage.delta_tuples
-     << ", \"delta_rule_skips\": " << storage.delta_rule_skips;
-  if (storage.segmented) {
-    os << ", \"mode\": \"segmented\""
-       << ", \"segment_seals\": " << storage.segment_seals
-       << ", \"segment_sealed_rows\": " << storage.segment_sealed_rows
-       << ", \"segment_merges\": " << storage.segment_merges
-       << ", \"segment_merged_rows\": " << storage.segment_merged_rows
-       << ", \"segment_compares\": " << storage.segment_compares
-       << ", \"segment_probes\": " << storage.segment_probes
-       << ", \"segment_probe_hits\": " << storage.segment_probe_hits
-       << ", \"segment_skips\": " << storage.segment_skips
-       << ", \"segment_fallbacks\": " << storage.segment_fallbacks
-       << ", \"segment_retain_batches\": " << storage.segment_retain_batches
-       << ", \"segment_retain_candidates\": "
-       << storage.segment_retain_candidates
-       << ", \"segment_retain_hits\": " << storage.segment_retain_hits
-       << ", \"segment_compactions\": " << storage.segment_compactions
-       << ", \"segment_delta_slices\": " << storage.segment_delta_slices
-       << ", \"segment_delta_slice_rows\": "
-       << storage.segment_delta_slice_rows
-       << ", \"segment_live_segments\": " << storage.segment_live_segments
-       << ", \"segment_tiers\": " << storage.segment_tiers
-       << ", \"segment_tail_rows\": " << storage.segment_tail_rows;
-  }
+     << ", \"delta_rule_skips\": " << storage.delta_rule_skips
+     << ", \"segment_seals\": " << storage.segment_seals
+     << ", \"segment_sealed_rows\": " << storage.segment_sealed_rows
+     << ", \"segment_merges\": " << storage.segment_merges
+     << ", \"segment_merged_rows\": " << storage.segment_merged_rows
+     << ", \"segment_compares\": " << storage.segment_compares
+     << ", \"segment_probes\": " << storage.segment_probes
+     << ", \"segment_probe_hits\": " << storage.segment_probe_hits
+     << ", \"segment_skips\": " << storage.segment_skips
+     << ", \"segment_fallbacks\": " << storage.segment_fallbacks
+     << ", \"segment_retain_batches\": " << storage.segment_retain_batches
+     << ", \"segment_retain_candidates\": "
+     << storage.segment_retain_candidates
+     << ", \"segment_retain_hits\": " << storage.segment_retain_hits
+     << ", \"segment_compactions\": " << storage.segment_compactions
+     << ", \"segment_delta_slices\": " << storage.segment_delta_slices
+     << ", \"segment_delta_slice_rows\": "
+     << storage.segment_delta_slice_rows
+     << ", \"segment_live_segments\": " << storage.segment_live_segments
+     << ", \"segment_tiers\": " << storage.segment_tiers
+     << ", \"segment_tail_rows\": " << storage.segment_tail_rows;
   os << "}, \"parallel\": {\"workers\": " << parallel.workers
      << ", \"regions\": " << parallel.regions
      << ", \"tasks\": " << parallel.tasks

@@ -94,8 +94,7 @@ struct StorageCost {
   std::uint64_t delta_tuples = 0;      // tuples consumed by delta re-matches
   std::uint64_t delta_rule_skips = 0;  // rule-rounds skipped (empty deltas)
   // Columnar-segment telemetry, read from the `storage.segment.*` family
-  // that segmented chase runs mirror. All zero for indexed sessions.
-  bool segmented = false;                   // any segmented run recorded
+  // that every chase run mirrors.
   std::uint64_t segment_seals = 0;          // segments sealed (tail/rebuild)
   std::uint64_t segment_sealed_rows = 0;    // rows across sealed segments
   std::uint64_t segment_merges = 0;         // segment merge operations
@@ -118,7 +117,8 @@ struct StorageCost {
 
   bool any() const {
     return index_probes != 0 || index_probe_hits != 0 || index_builds != 0 ||
-           delta_tuples != 0 || delta_rule_skips != 0 || segmented;
+           delta_tuples != 0 || delta_rule_skips != 0 || segment_seals != 0 ||
+           segment_probes != 0 || segment_fallbacks != 0;
   }
 };
 

@@ -408,11 +408,8 @@ Result<ExchangeResult> Exchange(const logic::Mapping& mapping,
   span.SetAttribute("source_tuples", source.TotalTuples());
   chase::ChaseOptions chase_options;
   chase_options.track_provenance = options.track_provenance;
-  chase_options.naive = options.naive;
-  chase_options.semi_naive = options.semi_naive;
   chase_options.stratified = options.stratified;
   chase_options.threads = options.threads;
-  chase_options.storage = options.storage;
   chase_options.wall_budget_us = options.wall_budget_us;
   chase_options.tuple_budget = options.tuple_budget;
   chase_options.rss_budget_kb = options.rss_budget_kb;
@@ -451,11 +448,8 @@ chase::ChaseOptions SessionChaseOptions(const ExchangeOptions& options) {
   chase::ChaseOptions copts;
   // Provenance is the deletion substrate; sessions always record it.
   copts.track_provenance = true;
-  copts.naive = options.naive;
-  copts.semi_naive = options.semi_naive;
   copts.stratified = options.stratified;
   copts.threads = options.threads;
-  copts.storage = options.storage;
   copts.wall_budget_us = options.wall_budget_us;
   copts.tuple_budget = options.tuple_budget;
   copts.rss_budget_kb = options.rss_budget_kb;

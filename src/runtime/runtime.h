@@ -190,11 +190,6 @@ std::vector<chase::Fact> Lineage(const chase::ChaseResult& result,
 struct ExchangeOptions {
   bool compute_core = false;   // minimize the universal solution
   bool track_provenance = false;
-  // Chase evaluation strategy, passed straight through to ChaseOptions:
-  // `naive` restores the rescan-everything oracle, `semi_naive` (default)
-  // keeps delta-restricted re-matching on top of the indexed executor.
-  bool naive = false;
-  bool semi_naive = true;
   // Analyze the mapping (analysis::AnalyzeMapping) before chasing and run
   // the stratified scheduler: rules grouped into dependency strata, late
   // strata not matched until their inputs are live, quiescent strata
@@ -206,11 +201,6 @@ struct ExchangeOptions {
   // Worker threads for the parallel chase executor (and the core scan when
   // compute_core is set): 0 defers to MM2_THREADS, default 1 = serial.
   std::size_t threads = 0;
-  // Storage representation for the chase hot path, forwarded to
-  // ChaseOptions::storage. kDefault defers to MM2_STORAGE (default:
-  // indexed); kSegmented backs probe/dedup work with sorted columnar
-  // segments. The produced solution is bit-identical either way.
-  instance::StorageMode storage = instance::StorageMode::kDefault;
   // Soft resource budgets, forwarded to ChaseOptions (0 = unlimited). On a
   // breach the chase stops gracefully and ExchangeResult::breach reports
   // why; core minimization is skipped for a partial solution.

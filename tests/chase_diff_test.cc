@@ -1,13 +1,12 @@
-// Differential test for the chase executors: the naive nested-loop path
-// (ChaseOptions::naive, the pre-index implementation kept as oracle) must
-// agree with the index-backed path and with the semi-naive delta path on
-// every randomly generated mapping. Agreement means identical status codes
-// and, on success, instances equal up to null renaming — checked as
-// homomorphic equivalence plus equal core sizes (cores of hom-equivalent
-// instances are isomorphic). Full-tgd closure cases invent no nulls, so
-// there the results must be exactly equal. The egd-reference axis at the
-// end compares the batched egd pass with the one-merge-at-a-time oracle
-// in egd_reference.h, which shares no egd code with the chase.
+// Differential tests for the chase: the production chase (semi-naive,
+// restricted, segment-backed, at any thread count or schedule) must agree
+// with the tests-only reference chase in reference_chase.h, which shares no
+// matcher or chase code with it, on every randomly generated mapping.
+// Agreement means identical status codes and, on success, instances equal
+// up to null renaming with the same number of egd unifications. Full-tgd
+// closure cases invent no nulls, so there the results must be exactly
+// equal. The threads and stratified axes further require production runs
+// to be bit-identical to the serial flat run.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,7 +14,7 @@
 #include <vector>
 
 #include "chase/chase.h"
-#include "egd_reference.h"
+#include "reference_chase.h"
 #include "instance/instance.h"
 #include "instance/value.h"
 #include "logic/formula.h"
@@ -37,24 +36,31 @@ using logic::Term;
 using logic::Tgd;
 using workload::Rng;
 
-ChaseOptions NaiveMode() {
+ChaseOptions ThreadedMode(std::size_t threads) {
   ChaseOptions o;
-  o.naive = true;
-  o.semi_naive = false;
+  o.threads = threads;
   return o;
 }
 
-ChaseOptions IndexedMode() {
+ChaseOptions StratifiedMode() {
   ChaseOptions o;
-  o.naive = false;
-  o.semi_naive = false;
+  o.stratified = true;
   return o;
 }
 
-ChaseOptions SemiNaiveMode() { return ChaseOptions{}; }  // the default
-
-bool HomEquivalent(const Instance& a, const Instance& b) {
-  return ExistsHomomorphism(a, b) && ExistsHomomorphism(b, a);
+// Exchange-mode agreement with the reference: same status code, and on
+// success the same instance up to null names with the same number of egd
+// unifications.
+void ExpectMatchesReference(const Result<ChaseResult>& chased,
+                            const Result<reference::ReferenceResult>& ref,
+                            const std::string& what) {
+  ASSERT_EQ(chased.status().code(), ref.status().code())
+      << what << ": chase=" << chased.status() << " reference=" << ref.status();
+  if (!ref.ok()) return;
+  EXPECT_TRUE(InstanceEqualsUpToNulls(chased->target, ref->target))
+      << what << "\nchase:\n" << chased->target.ToString()
+      << "\nreference:\n" << ref->target.ToString();
+  EXPECT_EQ(chased->stats.egd_unifications, ref->egd_unifications) << what;
 }
 
 // A random data-exchange scenario: all-Int64 relational schemas (small
@@ -275,67 +281,30 @@ SkolemScenario MakeSkolemScenario(std::uint64_t seed) {
 
 class ChaseDiffProperty : public ::testing::TestWithParam<int> {};
 
+// The test names predate the reference chase: the sweep once compared
+// three production executors with each other; it now compares the one
+// production chase with the reference.
 TEST_P(ChaseDiffProperty, NaiveIndexedSemiNaiveAgree) {
   Scenario s = MakeScenario(static_cast<std::uint64_t>(GetParam()));
   Mapping mapping =
       Mapping::FromTgds("m", s.source, s.target, s.tgds, s.egds);
-
-  auto naive = RunChase(mapping, s.db, NaiveMode());
-  auto indexed = RunChase(mapping, s.db, IndexedMode());
-  auto semi = RunChase(mapping, s.db, SemiNaiveMode());
-
-  ASSERT_EQ(naive.status().code(), indexed.status().code())
-      << "seed " << GetParam() << ": naive=" << naive.status()
-      << " indexed=" << indexed.status();
-  ASSERT_EQ(naive.status().code(), semi.status().code())
-      << "seed " << GetParam() << ": naive=" << naive.status()
-      << " semi=" << semi.status();
-  if (!naive.ok()) return;  // all three rejected identically
-
-  // The oracle path never touches the storage-layer indexes; the other two
-  // must account their probe traffic.
-  EXPECT_EQ(naive->stats.index_probes, 0u);
-  EXPECT_EQ(naive->stats.delta_tuples, 0u);
-
-  // Universal solutions are unique up to homomorphic equivalence; firing
-  // order may differ, so compare up to null renaming.
-  EXPECT_TRUE(HomEquivalent(naive->target, indexed->target))
-      << "seed " << GetParam();
-  EXPECT_TRUE(HomEquivalent(naive->target, semi->target))
-      << "seed " << GetParam();
-
-  // Cores of hom-equivalent instances are isomorphic, hence equal-sized.
-  Instance core_naive = ComputeCore(naive->target);
-  Instance core_indexed = ComputeCore(indexed->target);
-  Instance core_semi = ComputeCore(semi->target);
-  EXPECT_EQ(core_naive.TotalTuples(), core_indexed.TotalTuples())
-      << "seed " << GetParam();
-  EXPECT_EQ(core_naive.TotalTuples(), core_semi.TotalTuples())
-      << "seed " << GetParam();
+  auto chased = RunChase(mapping, s.db);
+  ExpectMatchesReference(chased, reference::ReferenceRunChase(mapping, s.db),
+                         "seed " + std::to_string(GetParam()));
+  // The first full pass of every rule consumes its body extension.
+  if (chased.ok()) {
+    EXPECT_GT(chased->stats.delta_tuples, 0u) << "seed " << GetParam();
+  }
 }
 
-// The same agreement over second-order scenarios with key egds.
+// The same agreement over second-order scenarios with key egds: Skolem
+// semantics leaves no firing-order freedom.
 TEST_P(ChaseDiffProperty, SkolemEgdScenariosAgree) {
   SkolemScenario s = MakeSkolemScenario(static_cast<std::uint64_t>(GetParam()));
   Mapping mapping = s.ToMapping();
-  auto naive = RunChase(mapping, s.db, NaiveMode());
-  auto indexed = RunChase(mapping, s.db, IndexedMode());
-  auto semi = RunChase(mapping, s.db, SemiNaiveMode());
-  ASSERT_EQ(naive.status().code(), indexed.status().code())
-      << "seed " << GetParam() << ": naive=" << naive.status()
-      << " indexed=" << indexed.status();
-  ASSERT_EQ(naive.status().code(), semi.status().code())
-      << "seed " << GetParam() << ": naive=" << naive.status()
-      << " semi=" << semi.status();
-  if (!naive.ok()) return;
-  // Skolem semantics leaves no firing-order freedom: the three executors
-  // agree up to null names, with the same number of unifications.
-  EXPECT_TRUE(InstanceEqualsUpToNulls(naive->target, indexed->target))
-      << "seed " << GetParam();
-  EXPECT_TRUE(InstanceEqualsUpToNulls(naive->target, semi->target))
-      << "seed " << GetParam();
-  EXPECT_EQ(naive->stats.egd_unifications, semi->stats.egd_unifications)
-      << "seed " << GetParam();
+  ExpectMatchesReference(RunChase(mapping, s.db),
+                         reference::ReferenceRunChase(mapping, s.db),
+                         "seed " + std::to_string(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ChaseDiffProperty, ::testing::Range(0, 100));
@@ -351,7 +320,7 @@ TEST_P(ChaseSerializeDiffProperty, ResultsSurviveTextRoundTrip) {
   Scenario s = MakeScenario(static_cast<std::uint64_t>(GetParam()));
   Mapping mapping =
       Mapping::FromTgds("m", s.source, s.target, s.tgds, s.egds);
-  auto result = RunChase(mapping, s.db, SemiNaiveMode());
+  auto result = RunChase(mapping, s.db);
   if (!result.ok()) return;  // Inconsistent scenarios have no instance
 
   std::string printed = text::InstanceToText(result->target);
@@ -375,9 +344,9 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ChaseSerializeDiffProperty,
                          ::testing::Range(0, 100));
 
 // Full-tgd closure (no existentials, no nulls): the fixpoint is a unique
-// set of ground tuples, so all three executors must produce *identical*
-// instances, not just hom-equivalent ones. Random graphs chased to their
-// transitive closure exercise multi-round delta propagation hard.
+// set of ground tuples, so production and the reference must produce
+// *identical* instances. Random graphs chased to their transitive closure
+// exercise multi-round delta propagation hard.
 class ClosureDiffProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(ClosureDiffProperty, TransitiveClosureExactlyEqual) {
@@ -402,15 +371,12 @@ TEST_P(ClosureDiffProperty, TransitiveClosureExactlyEqual) {
   step.head = {Atom{"T", {Term::Var("x"), Term::Var("z")}}};
   std::vector<Tgd> tgds = {copy, step};
 
-  auto naive = ChaseInstance(tgds, {}, db, NaiveMode());
-  auto indexed = ChaseInstance(tgds, {}, db, IndexedMode());
-  auto semi = ChaseInstance(tgds, {}, db, SemiNaiveMode());
-  ASSERT_TRUE(naive.ok()) << naive.status();
-  ASSERT_TRUE(indexed.ok()) << indexed.status();
+  auto ref = reference::ReferenceChaseInstance(tgds, {}, db);
+  auto semi = ChaseInstance(tgds, {}, db);
+  ASSERT_TRUE(ref.ok()) << ref.status();
   ASSERT_TRUE(semi.ok()) << semi.status();
 
-  EXPECT_TRUE(indexed->target.Equals(naive->target)) << "seed " << GetParam();
-  EXPECT_TRUE(semi->target.Equals(naive->target)) << "seed " << GetParam();
+  EXPECT_TRUE(semi->target.Equals(ref->target)) << "seed " << GetParam();
   // Semi-naive actually consumed deltas (round 1 counts the extension).
   EXPECT_GT(semi->stats.delta_tuples, 0u);
 }
@@ -426,14 +392,6 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ClosureDiffProperty, ::testing::Range(0, 20));
 // the acceptance bar asks for) plus counter identity. Index telemetry is
 // deliberately excluded: the parallel path pre-builds probe indexes before
 // fanning out, so index_builds may differ from the lazy serial schedule.
-ChaseOptions ThreadedMode(std::size_t threads, bool semi_naive) {
-  ChaseOptions o;
-  o.naive = false;
-  o.semi_naive = semi_naive;
-  o.threads = threads;
-  return o;
-}
-
 void ExpectSameFiringCounts(const ChaseStats& serial,
                             const ChaseStats& parallel, int seed,
                             std::size_t threads) {
@@ -456,28 +414,23 @@ TEST_P(ChaseParallelDiffProperty, ThreadCountIsImplementationDetail) {
   Mapping mapping =
       Mapping::FromTgds("m", s.source, s.target, s.tgds, s.egds);
 
-  for (bool semi_naive : {false, true}) {
-    auto serial = RunChase(mapping, s.db, ThreadedMode(1, semi_naive));
-    if (serial.ok()) {
-      EXPECT_EQ(serial->stats.workers, 1u);
-    }
-    for (std::size_t threads : {2u, 4u, 8u}) {
-      auto parallel =
-          RunChase(mapping, s.db, ThreadedMode(threads, semi_naive));
-      ASSERT_EQ(serial.status().code(), parallel.status().code())
-          << "seed " << GetParam() << " threads " << threads
-          << ": serial=" << serial.status()
-          << " parallel=" << parallel.status();
-      if (!serial.ok()) continue;
-      EXPECT_EQ(parallel->stats.workers, threads);
-      EXPECT_TRUE(parallel->target.Equals(serial->target))
-          << "seed " << GetParam() << " threads " << threads
-          << " semi_naive " << semi_naive;
-      EXPECT_TRUE(HomEquivalent(serial->target, parallel->target))
-          << "seed " << GetParam() << " threads " << threads;
-      ExpectSameFiringCounts(serial->stats, parallel->stats, GetParam(),
-                             threads);
-    }
+  auto serial = RunChase(mapping, s.db, ThreadedMode(1));
+  if (serial.ok()) {
+    EXPECT_EQ(serial->stats.workers, 1u);
+  }
+  for (std::size_t threads : {2u, 4u, 8u}) {
+    auto parallel = RunChase(mapping, s.db, ThreadedMode(threads));
+    ASSERT_EQ(serial.status().code(), parallel.status().code())
+        << "seed " << GetParam() << " threads " << threads
+        << ": serial=" << serial.status()
+        << " parallel=" << parallel.status();
+    if (!serial.ok()) continue;
+    EXPECT_EQ(parallel->stats.workers, threads);
+    EXPECT_EQ(text::InstanceToText(parallel->target),
+              text::InstanceToText(serial->target))
+        << "seed " << GetParam() << " threads " << threads;
+    ExpectSameFiringCounts(serial->stats, parallel->stats, GetParam(),
+                           threads);
   }
 }
 
@@ -486,8 +439,9 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ChaseParallelDiffProperty,
 
 // Transitive closure at thread counts {1,2,4,8}: multi-round semi-naive
 // delta propagation through the partitioned per-anchor passes must stay
-// exactly equal to the serial fixpoint, and the parallel telemetry must
-// only appear when more than one worker ran.
+// exactly equal to the serial fixpoint (itself equal to the reference's),
+// and the parallel telemetry must only appear when more than one worker
+// ran.
 class ClosureParallelDiffProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(ClosureParallelDiffProperty, ParallelClosureExactlyEqual) {
@@ -512,11 +466,14 @@ TEST_P(ClosureParallelDiffProperty, ParallelClosureExactlyEqual) {
   step.head = {Atom{"T", {Term::Var("x"), Term::Var("z")}}};
   std::vector<Tgd> tgds = {copy, step};
 
-  auto serial = ChaseInstance(tgds, {}, db, ThreadedMode(1, true));
+  auto serial = ChaseInstance(tgds, {}, db, ThreadedMode(1));
   ASSERT_TRUE(serial.ok()) << serial.status();
   EXPECT_EQ(serial->stats.parallel_regions, 0u);
+  auto ref = reference::ReferenceChaseInstance(tgds, {}, db);
+  ASSERT_TRUE(ref.ok()) << ref.status();
+  EXPECT_TRUE(serial->target.Equals(ref->target)) << "seed " << GetParam();
   for (std::size_t threads : {2u, 4u, 8u}) {
-    auto parallel = ChaseInstance(tgds, {}, db, ThreadedMode(threads, true));
+    auto parallel = ChaseInstance(tgds, {}, db, ThreadedMode(threads));
     ASSERT_TRUE(parallel.ok()) << parallel.status();
     EXPECT_TRUE(parallel->target.Equals(serial->target))
         << "seed " << GetParam() << " threads " << threads;
@@ -537,13 +494,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ClosureParallelDiffProperty,
 // which pins down null naming, and every firing-attribution counter —
 // must be bit-identical to the flat semi-naive run. Round counts and
 // delta-skip tallies legitimately differ (that skipped work is the
-// point), so they are deliberately not compared.
-ChaseOptions StratifiedMode() {
-  ChaseOptions o;
-  o.stratified = true;
-  return o;
-}
-
+// point), so they are deliberately not compared. The stratified run must
+// also match the reference.
 void ExpectSameRuleAttribution(const ChaseStats& flat,
                                const ChaseStats& strat, int seed) {
   EXPECT_EQ(flat.tgd_firings, strat.tgd_firings) << "seed " << seed;
@@ -572,11 +524,13 @@ TEST_P(ChaseStratifiedDiffProperty, StratifiedEqualsFlatBitForBit) {
   Mapping mapping =
       Mapping::FromTgds("m", s.source, s.target, s.tgds, s.egds);
 
-  auto flat = RunChase(mapping, s.db, SemiNaiveMode());
+  auto flat = RunChase(mapping, s.db);
   auto strat = RunChase(mapping, s.db, StratifiedMode());
   ASSERT_EQ(flat.status().code(), strat.status().code())
       << "seed " << GetParam() << ": flat=" << flat.status()
       << " stratified=" << strat.status();
+  ExpectMatchesReference(strat, reference::ReferenceRunChase(mapping, s.db),
+                         "seed " + std::to_string(GetParam()));
   if (!flat.ok()) return;
 
   // Instance text equality is the strongest form: it covers tuple sets,
@@ -648,11 +602,14 @@ TEST_P(ClosureStratifiedDiffProperty, StratifiedClosureExactlyEqual) {
   shallow.head = {Atom{"B", {Term::Var("x")}}};
   std::vector<Tgd> tgds = {copy, step, shallow};
 
-  auto flat = ChaseInstance(tgds, {}, db, SemiNaiveMode());
+  auto flat = ChaseInstance(tgds, {}, db);
   auto strat = ChaseInstance(tgds, {}, db, StratifiedMode());
+  auto ref = reference::ReferenceChaseInstance(tgds, {}, db);
   ASSERT_TRUE(flat.ok()) << flat.status();
   ASSERT_TRUE(strat.ok()) << strat.status();
+  ASSERT_TRUE(ref.ok()) << ref.status();
   EXPECT_TRUE(strat->target.Equals(flat->target)) << "seed " << GetParam();
+  EXPECT_TRUE(strat->target.Equals(ref->target)) << "seed " << GetParam();
   ExpectSameRuleAttribution(flat->stats, strat->stats, GetParam());
   EXPECT_GT(strat->stats.strata_count, 0u);
   // Full tgds invent nothing, so the classifier must say terminating and
@@ -665,73 +622,38 @@ TEST_P(ClosureStratifiedDiffProperty, StratifiedClosureExactlyEqual) {
 INSTANTIATE_TEST_SUITE_P(Sweep, ClosureStratifiedDiffProperty,
                          ::testing::Range(0, 20));
 
-// Storage-mode axis: the columnar segment representation must be a pure
-// physical-layer swap. Prefix probes answered from sealed segments and the
-// batched retain anti-join replace per-tuple set probes, but the match
-// order, firing order, and null naming are untouched, so segmented runs
-// must be bit-identical to indexed runs — same instance text, same firing
-// counters — at every thread count. Only the storage telemetry may differ.
-ChaseOptions SegmentedMode(std::size_t threads, bool semi_naive) {
-  ChaseOptions o = ThreadedMode(threads, semi_naive);
-  o.storage = instance::StorageMode::kSegmented;
-  return o;
-}
-
-// Baseline with the storage mode pinned: ThreadedMode leaves kDefault,
-// which MM2_STORAGE=segmented would resolve to the segmented backend —
-// and this sweep needs a genuinely indexed reference run either way.
-ChaseOptions IndexedThreadedMode(std::size_t threads, bool semi_naive) {
-  ChaseOptions o = ThreadedMode(threads, semi_naive);
-  o.storage = instance::StorageMode::kIndexed;
-  return o;
-}
-
+// Segment axis: every run seals its relations into sorted columnar runs,
+// serves prefix probes from them and batches existential-free head checks
+// through them. At one thread and at four, the segment-backed production
+// chase must match the reference, which scans plain sets.
 class ChaseSegmentedDiffProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(ChaseSegmentedDiffProperty, StorageModeIsImplementationDetail) {
   Scenario s = MakeScenario(static_cast<std::uint64_t>(GetParam()));
   Mapping mapping =
       Mapping::FromTgds("m", s.source, s.target, s.tgds, s.egds);
-
-  auto naive = RunChase(mapping, s.db, NaiveMode());
-  for (bool semi_naive : {false, true}) {
-    for (std::size_t threads : {1u, 4u}) {
-      auto indexed =
-          RunChase(mapping, s.db, IndexedThreadedMode(threads, semi_naive));
-      auto seg = RunChase(mapping, s.db, SegmentedMode(threads, semi_naive));
-      ASSERT_EQ(indexed.status().code(), seg.status().code())
-          << "seed " << GetParam() << " threads " << threads
-          << " semi_naive " << semi_naive << ": indexed=" << indexed.status()
-          << " segmented=" << seg.status();
-      if (!indexed.ok()) continue;
-      EXPECT_TRUE(seg->stats.segmented);
-      EXPECT_FALSE(indexed->stats.segmented);
-      // Bit-identical result: instance text pins down relation contents,
-      // tuple order, and the exact null names.
-      EXPECT_EQ(text::InstanceToText(seg->target),
-                text::InstanceToText(indexed->target))
-          << "seed " << GetParam() << " threads " << threads
-          << " semi_naive " << semi_naive;
-      ExpectSameFiringCounts(indexed->stats, seg->stats, GetParam(),
-                             threads);
-      // And the naive oracle must agree up to null renaming.
-      if (naive.ok()) {
-        EXPECT_TRUE(HomEquivalent(naive->target, seg->target))
-            << "seed " << GetParam() << " threads " << threads;
-      }
-    }
+  auto ref = reference::ReferenceRunChase(mapping, s.db);
+  for (std::size_t threads : {1u, 4u}) {
+    const std::string what = "seed " + std::to_string(GetParam()) +
+                             " threads " + std::to_string(threads);
+    auto chased = RunChase(mapping, s.db, ThreadedMode(threads));
+    ExpectMatchesReference(chased, ref, what);
+    if (!chased.ok()) continue;
+    // The source and every touched target relation were sealed.
+    EXPECT_GT(chased->stats.segment.seals, 0u) << what;
+    EXPECT_GT(chased->stats.segment_shape.live_segments, 0u) << what;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ChaseSegmentedDiffProperty,
                          ::testing::Range(0, 100));
 
-// Transitive closure under segmented storage: full tgds invent no nulls,
-// so the fixpoint must be exactly equal — and because the closure rules
-// are existential-free the restricted check runs through the batched
-// retain path, whose telemetry must show segment probes and retain
-// batches actually happened (i.e. the sweep exercises the new code, not a
-// silent fallback).
+// Transitive closure over segment storage: full tgds invent no nulls, so
+// the fixpoint must equal the reference's exactly — and because the
+// closure rules are existential-free the restricted check runs through the
+// batched retain path, whose telemetry must show segment probes and retain
+// batches actually happened (i.e. the sweep exercises the segment code,
+// not a silent fallback).
 class ClosureSegmentedDiffProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(ClosureSegmentedDiffProperty, SegmentedClosureExactlyEqual) {
@@ -756,18 +678,19 @@ TEST_P(ClosureSegmentedDiffProperty, SegmentedClosureExactlyEqual) {
   step.head = {Atom{"T", {Term::Var("x"), Term::Var("z")}}};
   std::vector<Tgd> tgds = {copy, step};
 
-  auto indexed = ChaseInstance(tgds, {}, db, IndexedThreadedMode(1, true));
-  ASSERT_TRUE(indexed.ok()) << indexed.status();
+  auto ref = reference::ReferenceChaseInstance(tgds, {}, db);
+  ASSERT_TRUE(ref.ok()) << ref.status();
+  auto serial = ChaseInstance(tgds, {}, db, ThreadedMode(1));
+  ASSERT_TRUE(serial.ok()) << serial.status();
   for (std::size_t threads : {1u, 4u}) {
-    auto seg = ChaseInstance(tgds, {}, db, SegmentedMode(threads, true));
+    auto seg = ChaseInstance(tgds, {}, db, ThreadedMode(threads));
     ASSERT_TRUE(seg.ok()) << seg.status();
-    EXPECT_TRUE(seg->target.Equals(indexed->target))
+    EXPECT_TRUE(seg->target.Equals(ref->target))
         << "seed " << GetParam() << " threads " << threads;
     EXPECT_EQ(text::InstanceToText(seg->target),
-              text::InstanceToText(indexed->target))
+              text::InstanceToText(ref->target))
         << "seed " << GetParam() << " threads " << threads;
-    ExpectSameFiringCounts(indexed->stats, seg->stats, GetParam(), threads);
-    EXPECT_TRUE(seg->stats.segmented);
+    ExpectSameFiringCounts(serial->stats, seg->stats, GetParam(), threads);
     // The segment layer must actually carry the hot path: prefix probes
     // served from sealed segments and head dedup through batched retain.
     EXPECT_GT(seg->stats.segment.probes, 0u)
@@ -775,8 +698,8 @@ TEST_P(ClosureSegmentedDiffProperty, SegmentedClosureExactlyEqual) {
     EXPECT_GT(seg->stats.segment.retain_batches, 0u)
         << "seed " << GetParam() << " threads " << threads;
     EXPECT_GT(seg->stats.segment.seals, 0u);
-    // A segmented run that only ever declined (fallbacks with zero served
-    // probes) would mean the tiered view silently never engaged.
+    // A run that only ever declined (fallbacks with zero served probes)
+    // would mean the tiered view silently never engaged.
     EXPECT_FALSE(seg->stats.segment.fallbacks > 0 &&
                  seg->stats.segment.probes == 0)
         << "silent fallback: " << seg->stats.segment.fallbacks
@@ -789,23 +712,14 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ClosureSegmentedDiffProperty,
                          ::testing::Range(0, 20));
 
 // Egd-reference axis: the production chase applies each egd pass as one
-// batched substitution, while reference::ReferenceChase (tests-only,
-// sharing nothing with ChaseRun but the nested-loop matcher) unifies one
-// violation at a time and rewrites everything after each. Both must reach
-// the same instance up to null names with the same number of
-// unifications, or fail with the same status code.
-void ExpectMatchesReference(const Result<ChaseResult>& chased,
-                            const Result<reference::ReferenceResult>& ref,
-                            const std::string& what) {
-  ASSERT_EQ(chased.status().code(), ref.status().code())
-      << what << ": chase=" << chased.status() << " reference=" << ref.status();
-  if (!ref.ok()) return;
-  EXPECT_TRUE(InstanceEqualsUpToNulls(chased->target, ref->target))
-      << what << "\nchase:\n" << chased->target.ToString()
-      << "\nreference:\n" << ref->target.ToString();
-  EXPECT_EQ(chased->stats.egd_unifications, ref->egd_unifications) << what;
-}
-
+// batched substitution, while the reference unifies one violation at a
+// time and rewrites everything after each. These cases run production at
+// four threads, the key-egd graphs also serially and the key-egd graphs
+// and Skolem scenarios also stratified (ChaseDiffProperty and
+// ChaseStratifiedDiffProperty cover the rest); all must reach the
+// reference's instance up to null names with the same number of
+// unifications.
+//
 // A random key-egd graph, shaped like the benchmark's closure workload
 // but small: transitive closure over R, an existential E(x, y, n) per edge
 // with a key egd on E(x, ., n) that merges every node's nulls, and a few
@@ -869,13 +783,10 @@ TEST_P(EgdReferenceDiffProperty, KeyEgdGraphMatchesReference) {
   KeyEgdGraph g = MakeKeyEgdGraph(static_cast<std::uint64_t>(GetParam()));
   auto ref = reference::ReferenceChaseInstance(g.tgds, g.egds, g.db);
   const std::string seed = "seed " + std::to_string(GetParam());
-  ExpectMatchesReference(ChaseInstance(g.tgds, g.egds, g.db, SemiNaiveMode()),
-                         ref, seed + " semi-naive");
-  ExpectMatchesReference(ChaseInstance(g.tgds, g.egds, g.db, NaiveMode()),
-                         ref, seed + " naive");
-  ExpectMatchesReference(
-      ChaseInstance(g.tgds, g.egds, g.db, ThreadedMode(4, true)), ref,
-      seed + " threads 4");
+  ExpectMatchesReference(ChaseInstance(g.tgds, g.egds, g.db), ref,
+                         seed + " serial");
+  ExpectMatchesReference(ChaseInstance(g.tgds, g.egds, g.db, ThreadedMode(4)),
+                         ref, seed + " threads 4");
   ExpectMatchesReference(ChaseInstance(g.tgds, g.egds, g.db, StratifiedMode()),
                          ref, seed + " stratified");
 }
@@ -884,12 +795,9 @@ TEST_P(EgdReferenceDiffProperty, TgdScenarioMatchesReference) {
   Scenario s = MakeScenario(static_cast<std::uint64_t>(GetParam()));
   Mapping mapping =
       Mapping::FromTgds("m", s.source, s.target, s.tgds, s.egds);
-  auto ref = reference::ReferenceRunChase(mapping, s.db);
-  const std::string seed = "seed " + std::to_string(GetParam());
-  ExpectMatchesReference(RunChase(mapping, s.db, SemiNaiveMode()), ref,
-                         seed + " semi-naive");
-  ExpectMatchesReference(RunChase(mapping, s.db, NaiveMode()), ref,
-                         seed + " naive");
+  ExpectMatchesReference(RunChase(mapping, s.db, ThreadedMode(4)),
+                         reference::ReferenceRunChase(mapping, s.db),
+                         "seed " + std::to_string(GetParam()) + " threads 4");
 }
 
 TEST_P(EgdReferenceDiffProperty, SkolemScenarioMatchesReference) {
@@ -897,10 +805,10 @@ TEST_P(EgdReferenceDiffProperty, SkolemScenarioMatchesReference) {
   Mapping mapping = s.ToMapping();
   auto ref = reference::ReferenceRunChase(mapping, s.db);
   const std::string seed = "seed " + std::to_string(GetParam());
-  ExpectMatchesReference(RunChase(mapping, s.db, SemiNaiveMode()), ref,
-                         seed + " semi-naive");
-  ExpectMatchesReference(RunChase(mapping, s.db, NaiveMode()), ref,
-                         seed + " naive");
+  ExpectMatchesReference(RunChase(mapping, s.db, ThreadedMode(4)), ref,
+                         seed + " threads 4");
+  ExpectMatchesReference(RunChase(mapping, s.db, StratifiedMode()), ref,
+                         seed + " stratified");
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, EgdReferenceDiffProperty,

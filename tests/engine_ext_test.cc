@@ -160,6 +160,18 @@ TEST_F(EngineExtTest, ThreadsCommandRejectsBadArguments) {
   EXPECT_EQ(engine_.threads(), 0u);
 }
 
+// A count past the range of long is rejected with the usual message, not
+// saturated and echoed. Only parses: no exchange runs afterwards.
+TEST_F(EngineExtTest, ThreadsCommandRejectsOutOfRange) {
+  auto log = engine_.RunScript("threads 99999999999999999999");
+  ASSERT_FALSE(log.ok());
+  EXPECT_EQ(log.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(log.status().message().find("threads takes a non-negative"),
+            std::string::npos)
+      << log.status();
+  EXPECT_EQ(engine_.threads(), 0u);
+}
+
 TEST_F(EngineExtTest, ExplainReportsOperatorAndRuleAttribution) {
   auto log = engine_.RunScript(R"(
 exchange Dout flatten D
@@ -191,17 +203,11 @@ explain
   EXPECT_NE(joined.find("chase.delta.tuples"), std::string::npos);
 
   // The chase mirrored nonzero probe and delta traffic into the registry:
-  // the join body probes the index (or, under MM2_STORAGE=segmented, the
-  // sealed segments), and round 1 counts the whole extension as delta.
+  // the join body probes the sealed segments, and round 1 counts the whole
+  // extension as delta.
   obs::MetricsSnapshot snap = engine_.observability().metrics.Snapshot();
-  if (instance::ResolveStorageMode(instance::StorageMode::kDefault) ==
-      instance::StorageMode::kSegmented) {
-    ASSERT_NE(snap.FindCounter("storage.segment.probes"), nullptr);
-    EXPECT_GT(snap.FindCounter("storage.segment.probes")->value, 0u);
-  } else {
-    ASSERT_NE(snap.FindCounter("index.probes"), nullptr);
-    EXPECT_GT(snap.FindCounter("index.probes")->value, 0u);
-  }
+  ASSERT_NE(snap.FindCounter("storage.segment.probes"), nullptr);
+  EXPECT_GT(snap.FindCounter("storage.segment.probes")->value, 0u);
   ASSERT_NE(snap.FindCounter("chase.delta.tuples"), nullptr);
   EXPECT_GT(snap.FindCounter("chase.delta.tuples")->value, 0u);
 }
@@ -434,6 +440,18 @@ TEST_F(EngineExtTest, BudgetCommandRejectsBadArguments) {
   EXPECT_FALSE(engine_.RunScript("budget watts 5").ok());
   EXPECT_TRUE(engine_.RunScript("budget wall_us 1000000").ok());
   EXPECT_TRUE(engine_.RunScript("budget off").ok());
+}
+
+TEST_F(EngineExtTest, BudgetCommandRejectsOutOfRange) {
+  for (const char* kind : {"tuples", "wall_us", "rss_kb"}) {
+    auto log = engine_.RunScript(std::string("budget ") + kind +
+                                 " 99999999999999999999999");
+    ASSERT_FALSE(log.ok()) << kind;
+    EXPECT_EQ(log.status().code(), StatusCode::kInvalidArgument) << kind;
+    EXPECT_NE(log.status().message().find("budget wants a non-negative"),
+              std::string::npos)
+        << log.status();
+  }
 }
 
 TEST_F(EngineExtTest, StatsReportsPeakRss) {

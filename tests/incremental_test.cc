@@ -7,7 +7,9 @@
 // re-chase of the mutated source. The maintained target must be equal to
 // the re-chased one up to a labeled-null bijection, with identical certain
 // answers (the null-free tuples), and the returned target delta must
-// replay the old target into the new one exactly.
+// replay the old target into the new one exactly. Both sweeps also compare
+// the maintained target with the tests-only reference chase of
+// reference_chase.h, which shares no matcher or chase code with src/.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,6 +23,7 @@
 #include "logic/formula.h"
 #include "logic/mapping.h"
 #include "model/schema.h"
+#include "reference_chase.h"
 #include "runtime/runtime.h"
 #include "workload/generators.h"
 
@@ -30,7 +33,6 @@ namespace {
 using instance::Instance;
 using instance::InstanceEqualsUpToNulls;
 using instance::RelationInstance;
-using instance::StorageMode;
 using instance::Tuple;
 using instance::Value;
 using logic::Atom;
@@ -136,7 +138,6 @@ std::multiset<Tuple> ViewRows(const instance::DeltaView& view) {
 
 TEST(TombstoneDeltaViewTest, EraseInOneRunKeepsOtherRunsSliced) {
   RelationInstance rel(2);
-  rel.set_storage_mode(StorageMode::kSegmented);
   // Run 0: a large sealed batch; run 1: a small later batch (sizes differ
   // enough that tiered compaction keeps them separate).
   for (std::int64_t i = 0; i < 16; ++i) rel.Insert(Row2(i, i));
@@ -166,7 +167,6 @@ TEST(TombstoneDeltaViewTest, EraseInOneRunKeepsOtherRunsSliced) {
 
 TEST(TombstoneDeltaViewTest, UnsealedSuffixSkipsTombstones) {
   RelationInstance rel(2);
-  rel.set_storage_mode(StorageMode::kSegmented);
   for (std::int64_t i = 0; i < 8; ++i) rel.Insert(Row2(i, i));
   rel.PrepareSegments();
   const std::size_t mark = rel.Watermark();
@@ -183,7 +183,6 @@ TEST(TombstoneDeltaViewTest, UnsealedSuffixSkipsTombstones) {
 
 TEST(TombstoneDeltaViewTest, SizeContractHoldsAcrossWatermarks) {
   RelationInstance rel(2);
-  rel.set_storage_mode(StorageMode::kSegmented);
   Rng rng(42);
   for (std::int64_t i = 0; i < 12; ++i) rel.Insert(Row2(i, i));
   rel.PrepareSegments();
@@ -463,6 +462,64 @@ TEST(MaintainDRedTest, InsertOnlyMaintainMatchesRechase) {
   EXPECT_TRUE(InstanceEqualsUpToNulls(session.target, full.value().target));
 }
 
+// A maintain that erases from and inserts into the session source, after
+// the first chase sealed it: the source keeps its runs, the rebuild of the
+// erase-dirtied relation is deferred (the join's prefix probes decline to
+// the hash index instead), and the target still matches a fresh exchange.
+TEST(MaintainDRedTest, SealedSourceDefersRebuild) {
+  model::Schema src("Src", model::Metamodel::kRelational);
+  src.AddRelation(model::Relation(
+      "R", {{"a", model::DataType::Int64(), false},
+            {"b", model::DataType::Int64(), false}}, {}));
+  model::Schema tgt("Tgt", model::Metamodel::kRelational);
+  tgt.AddRelation(model::Relation(
+      "T", {{"a", model::DataType::Int64(), false},
+            {"b", model::DataType::Int64(), false}}, {}));
+  tgt.AddRelation(model::Relation(
+      "U", {{"a", model::DataType::Int64(), false},
+            {"c", model::DataType::Int64(), false},
+            {"e", model::DataType::Int64(), false}}, {}));
+  Tgd copy;
+  copy.body = {Atom{"R", {V("x"), V("y")}}};
+  copy.head = {Atom{"T", {V("x"), V("y")}}};
+  Tgd path;
+  path.body = {Atom{"R", {V("x"), V("y")}}, Atom{"R", {V("y"), V("z")}}};
+  path.head = {Atom{"U", {V("x"), V("z"), V("e")}}};
+  Mapping m = Mapping::FromTgds("m", src, tgt, {copy, path});
+
+  Instance source = Instance::EmptyFor(src);
+  for (std::int64_t i = 0; i < 40; ++i) {
+    ASSERT_TRUE(source.Insert("R", Row2(i, i + 1)).ok());
+  }
+  auto begun = BeginExchangeSession(m, std::move(source));
+  ASSERT_TRUE(begun.ok()) << begun.status().message();
+  ExchangeSession session = std::move(begun.value());
+  ASSERT_TRUE(session.source.Find("R")->SegmentCurrent());
+  const instance::SegmentOpStats before = session.source.SegmentStatsTotal();
+
+  Delta delta;
+  delta.deletes.DeclareRelation("R", 2);
+  delta.inserts.DeclareRelation("R", 2);
+  delta.deletes.InsertUnchecked("R", Row2(10, 11));
+  delta.inserts.InsertUnchecked("R", Row2(40, 0));
+  auto maintained = MaintainExchange(session, delta);
+  ASSERT_TRUE(maintained.ok()) << maintained.status().message();
+  EXPECT_EQ(session.fallbacks, 0u);
+
+  const instance::SegmentOpStats after = session.source.SegmentStatsTotal();
+  EXPECT_GT(after.deferred_rebuilds, before.deferred_rebuilds);
+  EXPECT_GT(after.fallbacks, before.fallbacks);
+  EXPECT_EQ(after.sealed_rows, before.sealed_rows);  // no full reseal
+  EXPECT_FALSE(session.target.Find("T")->Contains(Row2(10, 11)));
+  EXPECT_TRUE(session.target.Find("T")->Contains(Row2(40, 0)));
+
+  auto full = Exchange(m, session.source, ExchangeOptions{});
+  ASSERT_TRUE(full.ok());
+  EXPECT_TRUE(InstanceEqualsUpToNulls(session.target, full.value().target))
+      << "maintained:\n" << session.target.ToString() << "\nrechased:\n"
+      << full.value().target.ToString();
+}
+
 TEST(MaintainDRedTest, BeginRejectsComputeCore) {
   Mapping m = KeyedExistentialMapping();
   ExchangeOptions options;
@@ -701,14 +758,20 @@ TEST(IncrementalSweepTest, HundredSeedsMatchFullRechase) {
       ASSERT_TRUE(before.Equals(session.target))
           << "seed " << seed << " epoch " << epoch;
 
-      // Differential: a full exchange of the mutated source agrees up to
-      // null renaming.
+      // Differential: a full exchange of the mutated source, and the
+      // reference chase of it, agree up to null renaming.
       auto full = Exchange(c.mapping, session.source, ExchangeOptions{});
       ASSERT_TRUE(full.ok()) << "seed " << seed << " epoch " << epoch;
       ASSERT_TRUE(InstanceEqualsUpToNulls(session.target, full.value().target))
           << "seed " << seed << " epoch " << epoch << "\nmaintained:\n"
           << session.target.ToString() << "\nrechased:\n"
           << full.value().target.ToString();
+      auto ref = chase::reference::ReferenceRunChase(c.mapping, session.source);
+      ASSERT_TRUE(ref.ok()) << "seed " << seed << " epoch " << epoch;
+      ASSERT_TRUE(InstanceEqualsUpToNulls(session.target, ref.value().target))
+          << "seed " << seed << " epoch " << epoch << "\nmaintained:\n"
+          << session.target.ToString() << "\nreference:\n"
+          << ref.value().target.ToString();
 
       // Certain answers (null-free rows per relation) are identical, not
       // just isomorphic.
@@ -879,29 +942,35 @@ TEST(IncrementalSweepTest, SkolemEgdSweepMatchesFullRechase) {
   EXPECT_GT(incremental, 0u);
 }
 
-// The sweep again, under segmented storage: the maintain path must give
-// the same answers when deltas ride tombstone-aware segment slices.
+// The sweep again over other seeds, against the reference only: the
+// maintain path must give the reference's answers while deltas ride
+// tombstone-aware segment slices and the sealed session source defers its
+// erase-dirtied rebuilds — which the sweep must actually exercise.
 TEST(IncrementalSweepTest, SegmentedStorageSweep) {
+  std::uint64_t deferred = 0;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed * 7919);
     SweepCase c = MakeSweepCase(&rng);
-    ExchangeOptions options;
-    options.storage = StorageMode::kSegmented;
-    auto begun = BeginExchangeSession(c.mapping, c.source, options);
+    auto begun = BeginExchangeSession(c.mapping, c.source);
     ASSERT_TRUE(begun.ok()) << "seed " << seed;
     ExchangeSession session = std::move(begun.value());
     for (std::size_t epoch = 0; epoch < 2; ++epoch) {
       Delta delta = MakeRandomDelta(c, session.source, epoch, &rng);
+      const std::uint64_t deferred0 =
+          session.source.SegmentStatsTotal().deferred_rebuilds;
       auto maintained = MaintainExchange(session, delta);
       ASSERT_TRUE(maintained.ok())
           << "seed " << seed << " epoch " << epoch << ": "
           << maintained.status().message();
-      auto full = Exchange(c.mapping, session.source, options);
-      ASSERT_TRUE(full.ok());
-      ASSERT_TRUE(InstanceEqualsUpToNulls(session.target, full.value().target))
+      deferred +=
+          session.source.SegmentStatsTotal().deferred_rebuilds - deferred0;
+      auto ref = chase::reference::ReferenceRunChase(c.mapping, session.source);
+      ASSERT_TRUE(ref.ok());
+      ASSERT_TRUE(InstanceEqualsUpToNulls(session.target, ref.value().target))
           << "seed " << seed << " epoch " << epoch;
     }
   }
+  EXPECT_GT(deferred, 0u);
 }
 
 }  // namespace

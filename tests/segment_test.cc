@@ -6,10 +6,8 @@
 // chase_diff_test.cc; this file pins the building blocks.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <optional>
 #include <set>
-#include <string>
 #include <vector>
 
 #include "instance/instance.h"
@@ -171,7 +169,6 @@ TEST(SortedHelperTest, CountedSortAndSortedContains) {
 
 TEST(RelationSegmentTest, PrepareSealsAndTracksCurrency) {
   RelationInstance rel(2);
-  rel.set_storage_mode(StorageMode::kSegmented);
   rel.Insert(Row(2, 2));
   rel.Insert(Row(1, 1));
   EXPECT_FALSE(rel.SegmentCurrent());
@@ -200,7 +197,6 @@ TEST(RelationSegmentTest, PrepareSealsAndTracksCurrency) {
 
 TEST(RelationSegmentTest, CopySharesSealedSegment) {
   RelationInstance rel(2);
-  rel.set_storage_mode(StorageMode::kSegmented);
   rel.Insert(Row(1, 1));
   rel.Insert(Row(2, 2));
   rel.PrepareSegments();
@@ -223,13 +219,12 @@ TEST(RelationSegmentTest, CopySharesSealedSegment) {
 
 TEST(RelationSegmentTest, SegmentProbePrefixServesAndDeclines) {
   RelationInstance rel(2);
-  rel.set_storage_mode(StorageMode::kSegmented);
   rel.Insert(Row(1, 10));
   rel.Insert(Row(1, 11));
   rel.Insert(Row(2, 20));
 
   // Never sealed: declined, and the decline is booked as a fallback so a
-  // segmented session that silently never serves probes is visible.
+  // run that silently never serves probes is visible.
   EXPECT_FALSE(rel.SegmentProbePrefix({Value::Int64(1)}).has_value());
   EXPECT_EQ(rel.segment_stats().fallbacks, 1u);
 
@@ -259,7 +254,6 @@ TEST(RelationSegmentTest, SegmentProbePrefixServesAndDeclines) {
 
 TEST(RelationSegmentTest, RetainExistingMergesAgainstSealedAndTail) {
   RelationInstance rel(2);
-  rel.set_storage_mode(StorageMode::kSegmented);
   rel.Insert(Row(1, 1));
   rel.Insert(Row(3, 3));
   rel.PrepareSegments();
@@ -281,7 +275,7 @@ TEST(RelationSegmentTest, RetainExistingMergesAgainstSealedAndTail) {
 }
 
 TEST(RelationSegmentTest, RetainExistingFallsBackWithoutSegments) {
-  RelationInstance rel(2);  // kIndexed: no sealed view
+  RelationInstance rel(2);  // never sealed: no runs
   rel.Insert(Row(1, 1));
   rel.Insert(Row(2, 2));
 
@@ -296,27 +290,76 @@ TEST(RelationSegmentTest, RetainExistingFallsBackWithoutSegments) {
   EXPECT_EQ(stats.retain_hits, 1u);
 }
 
-TEST(InstanceSegmentTest, SetStorageModePropagatesToRelations) {
+TEST(InstanceSegmentTest, PrepareAllSegmentsSealsEveryRelation) {
   Instance db;
-  db.SetStorageMode(StorageMode::kSegmented);
-  db.DeclareRelation("R", 2);  // declared after: inherits the mode
+  db.DeclareRelation("R", 2);
+  db.DeclareRelation("S", 2);
   db.InsertUnchecked("R", Row(1, 1));
   db.InsertUnchecked("R", Row(2, 2));
+  db.InsertUnchecked("S", Row(3, 3));
   db.PrepareAllSegments();
 
-  const RelationInstance* rel = db.Find("R");
-  ASSERT_NE(rel, nullptr);
-  EXPECT_EQ(rel->storage_mode(), StorageMode::kSegmented);
-  EXPECT_TRUE(rel->SegmentCurrent());
-  EXPECT_EQ(rel->sealed_rows(), 2u);
-  EXPECT_GE(db.SegmentStatsTotal().seals, 1u);
+  const RelationInstance* r = db.Find("R");
+  const RelationInstance* s = db.Find("S");
+  ASSERT_NE(r, nullptr);
+  ASSERT_NE(s, nullptr);
+  EXPECT_TRUE(r->SegmentCurrent());
+  EXPECT_TRUE(s->SegmentCurrent());
+  EXPECT_EQ(r->sealed_rows(), 2u);
+  EXPECT_EQ(s->sealed_rows(), 1u);
+  EXPECT_GE(db.SegmentStatsTotal().seals, 2u);
+  EXPECT_EQ(db.SegmentShapeTotal().live_segments, 2u);
+}
+
+// The relation rule: before its first seal a relation keeps no tail and
+// every probe declines; the first seal is a full rebuild; from then on
+// inserts go to a tail that the next seal turns into a new run, and an
+// erase-dirtied view may defer its rebuild while tombstones stay few.
+TEST(RelationSegmentTest, SealedRelationKeepsTailAndDefersRebuild) {
+  RelationInstance rel(2);
+  for (std::int64_t i = 0; i < 16; ++i) rel.Insert(Row(i, 0));
+  EXPECT_EQ(rel.segment_shape().tail_rows, 0u);  // no runs yet, no tail
+  EXPECT_FALSE(rel.SegmentProbePrefix({Value::Int64(1)}).has_value());
+  EXPECT_EQ(rel.segment_stats().fallbacks, 1u);
+
+  rel.PrepareSegments();  // first seal: one run over the whole extension
+  EXPECT_EQ(rel.live_runs(), 1u);
+  EXPECT_EQ(rel.segment_stats().merges, 0u);
+  SegmentPtr base = rel.sealed_segment();
+
+  rel.Insert(Row(100, 0));
+  EXPECT_EQ(rel.segment_shape().tail_rows, 1u);
+  EXPECT_TRUE(rel.Contains(Row(100, 0)));  // answered from the set
+  rel.PrepareSegments();  // incremental: the base run is left alone
+  EXPECT_EQ(rel.live_runs(), 2u);
+  EXPECT_EQ(rel.sealed_segment().get(), base.get());
+  EXPECT_TRUE(rel.Contains(Row(100, 0)));  // answered from the runs
+
+  // One tombstone against 16 live rows is little debt: the rebuild is
+  // deferred, probes decline to the index, the delta view stays exact.
+  const std::size_t mark = rel.Watermark();
+  rel.Erase(Row(3, 0));
+  rel.Insert(Row(101, 0));
+  rel.PrepareSegments(/*defer_dirty_rebuild=*/true);
+  EXPECT_EQ(rel.segment_stats().deferred_rebuilds, 1u);
+  EXPECT_FALSE(rel.SegmentCurrent());
+  std::uint64_t fallbacks = rel.segment_stats().fallbacks;
+  EXPECT_FALSE(rel.SegmentProbePrefix({Value::Int64(1)}).has_value());
+  EXPECT_EQ(rel.segment_stats().fallbacks, fallbacks + 1);
+  EXPECT_EQ(rel.DeltaViewSince(mark).size(), rel.DeltaSince(mark).size());
+  EXPECT_FALSE(rel.Contains(Row(3, 0)));
+
+  // Without deferral the dirty view is rebuilt in full.
+  rel.PrepareSegments();
+  EXPECT_TRUE(rel.SegmentCurrent());
+  EXPECT_EQ(rel.live_runs(), 1u);
+  EXPECT_EQ(rel.sealed_rows(), rel.size());
 }
 
 // Tail seals accumulate sealed runs without touching the base run until a
 // tier fills up: a 1-row tail against a much larger base stays its own run.
 TEST(RelationSegmentTest, TailSealAddsRunWithoutMergingBase) {
   RelationInstance rel(2);
-  rel.set_storage_mode(StorageMode::kSegmented);
   SegmentPolicy policy;
   policy.tier_ratio = 2;
   policy.max_runs = 6;
@@ -347,7 +390,6 @@ TEST(RelationSegmentTest, TailSealAddsRunWithoutMergingBase) {
 // merge (newest * ratio >= prev), and the merged run is sorted + deduped.
 TEST(RelationSegmentTest, CompactionMergesTiersInOrder) {
   RelationInstance rel(2);
-  rel.set_storage_mode(StorageMode::kSegmented);
   SegmentPolicy policy;
   policy.tier_ratio = 2;
   policy.max_runs = 6;
@@ -381,7 +423,6 @@ TEST(RelationSegmentTest, CompactionMergesTiersInOrder) {
 // Exceeding max_runs forces a merge even when no tier is oversized.
 TEST(RelationSegmentTest, MaxRunsCapTriggersCompaction) {
   RelationInstance rel(2);
-  rel.set_storage_mode(StorageMode::kSegmented);
   SegmentPolicy policy;
   policy.tier_ratio = 2;
   policy.max_runs = 2;
@@ -404,7 +445,6 @@ TEST(RelationSegmentTest, MaxRunsCapTriggersCompaction) {
 // stream, byte-identical to what a single merged segment would yield.
 TEST(RelationSegmentTest, KWayProbeSpansLiveRuns) {
   RelationInstance rel(2);
-  rel.set_storage_mode(StorageMode::kSegmented);
   SegmentPolicy policy;
   policy.tier_ratio = 2;
   policy.max_runs = 6;
@@ -456,7 +496,6 @@ std::vector<Tuple> Collect(const DeltaView& view) {
 // after the watermark; the view matches the log-backed delta as a set.
 TEST(RelationSegmentTest, DeltaViewSlicesMatchLogBackedDelta) {
   RelationInstance rel(2);
-  rel.set_storage_mode(StorageMode::kSegmented);
   SegmentPolicy policy;
   policy.tier_ratio = 2;
   policy.max_runs = 6;
@@ -498,7 +537,6 @@ TEST(RelationSegmentTest, DeltaViewSlicesMatchLogBackedDelta) {
 // back to plain log refs and still matches DeltaSince exactly.
 TEST(RelationSegmentTest, DeltaViewFallsBackAfterErase) {
   RelationInstance rel(2);
-  rel.set_storage_mode(StorageMode::kSegmented);
   for (std::int64_t i = 0; i < 8; ++i) rel.Insert(Row(i, 0));
   rel.PrepareSegments();
   const std::size_t mark = rel.Watermark();
@@ -517,77 +555,15 @@ TEST(RelationSegmentTest, DeltaViewFallsBackAfterErase) {
   }
 }
 
-TEST(StorageModeTest, ResolveAndNames) {
-  EXPECT_EQ(ResolveStorageMode(StorageMode::kIndexed), StorageMode::kIndexed);
-  EXPECT_EQ(ResolveStorageMode(StorageMode::kSegmented),
-            StorageMode::kSegmented);
-  EXPECT_STREQ(StorageModeName(StorageMode::kIndexed), "indexed");
-  EXPECT_STREQ(StorageModeName(StorageMode::kSegmented), "segmented");
-}
-
-TEST(StorageModeTest, DefaultResolvesToSegmented) {
-  const char* saved = std::getenv("MM2_STORAGE");
-  std::string saved_value = saved != nullptr ? saved : "";
-  ::unsetenv("MM2_STORAGE");
-  EXPECT_EQ(ResolveStorageMode(StorageMode::kDefault),
-            StorageMode::kSegmented);
-  ::setenv("MM2_STORAGE", "indexed", 1);
-  EXPECT_EQ(ResolveStorageMode(StorageMode::kDefault), StorageMode::kIndexed);
-  ::setenv("MM2_STORAGE", "segmented", 1);
-  EXPECT_EQ(ResolveStorageMode(StorageMode::kDefault),
-            StorageMode::kSegmented);
-  if (saved != nullptr) {
-    ::setenv("MM2_STORAGE", saved_value.c_str(), 1);
-  } else {
-    ::unsetenv("MM2_STORAGE");
-  }
-}
-
-TEST(SegmentPolicyTest, ResolveArgsEnvAndClamps) {
-  const char* saved_ratio = std::getenv("MM2_SEGMENT_TIER_RATIO");
-  const char* saved_runs = std::getenv("MM2_SEGMENT_MAX_RUNS");
-  std::string ratio_value = saved_ratio != nullptr ? saved_ratio : "";
-  std::string runs_value = saved_runs != nullptr ? saved_runs : "";
-  ::unsetenv("MM2_SEGMENT_TIER_RATIO");
-  ::unsetenv("MM2_SEGMENT_MAX_RUNS");
-
-  // Defaults with nothing set.
-  SegmentPolicy policy = ResolveSegmentPolicy(0, 0);
+// Production runs the default tier policy; every live run list it allows
+// stays probeable.
+TEST(SegmentPolicyTest, DefaultsAreFourAndSix) {
+  SegmentPolicy policy;
   EXPECT_EQ(policy.tier_ratio, 4u);
   EXPECT_EQ(policy.max_runs, 6u);
-
-  // Explicit arguments win.
-  policy = ResolveSegmentPolicy(8, 3);
-  EXPECT_EQ(policy.tier_ratio, 8u);
-  EXPECT_EQ(policy.max_runs, 3u);
-
-  // Environment fills whatever the arguments left at zero.
-  ::setenv("MM2_SEGMENT_TIER_RATIO", "16", 1);
-  ::setenv("MM2_SEGMENT_MAX_RUNS", "2", 1);
-  policy = ResolveSegmentPolicy(0, 0);
-  EXPECT_EQ(policy.tier_ratio, 16u);
-  EXPECT_EQ(policy.max_runs, 2u);
-  policy = ResolveSegmentPolicy(5, 0);
-  EXPECT_EQ(policy.tier_ratio, 5u);
-  EXPECT_EQ(policy.max_runs, 2u);
-
-  // Clamps: ratio >= 2, max_runs within [1, kMaxRanges].
-  ::setenv("MM2_SEGMENT_TIER_RATIO", "1", 1);
-  ::setenv("MM2_SEGMENT_MAX_RUNS", "99", 1);
-  policy = ResolveSegmentPolicy(0, 0);
-  EXPECT_GE(policy.tier_ratio, 2u);
   EXPECT_LE(policy.max_runs, SegmentRanges::kMaxRanges);
-
-  if (saved_ratio != nullptr) {
-    ::setenv("MM2_SEGMENT_TIER_RATIO", ratio_value.c_str(), 1);
-  } else {
-    ::unsetenv("MM2_SEGMENT_TIER_RATIO");
-  }
-  if (saved_runs != nullptr) {
-    ::setenv("MM2_SEGMENT_MAX_RUNS", runs_value.c_str(), 1);
-  } else {
-    ::unsetenv("MM2_SEGMENT_MAX_RUNS");
-  }
+  EXPECT_EQ(RelationInstance(2).segment_policy().tier_ratio, 4u);
+  EXPECT_EQ(RelationInstance(2).segment_policy().max_runs, 6u);
 }
 
 }  // namespace

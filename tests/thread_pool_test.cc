@@ -39,6 +39,18 @@ TEST(ResolveThreadCount, EnvFallbackThenSerial) {
   ::unsetenv("MM2_THREADS");
 }
 
+// Trailing characters or a value past the range of long leave the
+// variable unset. Only resolves the count: no pool is built.
+TEST(ResolveThreadCount, MalformedOrOverflowingEnvIsUnset) {
+  ::setenv("MM2_THREADS", "4abc", 1);
+  EXPECT_EQ(ResolveThreadCount(0), 1u);
+  ::setenv("MM2_THREADS", "99999999999999999999", 1);
+  EXPECT_EQ(ResolveThreadCount(0), 1u);
+  ::setenv("MM2_THREADS", "3", 1);
+  EXPECT_EQ(ResolveThreadCount(0), 3u);
+  ::unsetenv("MM2_THREADS");
+}
+
 TEST(ResolveThreadCount, ClampedTo256) {
   EXPECT_EQ(ResolveThreadCount(100000), 256u);
 }
