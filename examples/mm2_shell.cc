@@ -61,9 +61,6 @@ void PrintHelp() {
       "                                answer m D Q(x) :- T(x, y)\n"
       "  compose <out> <m12> <m23>     (and the other engine commands:\n"
       "  invert/inverse/extract/diff/merge/modelgen/exchange/match)\n"
-      "  threads <n>                   worker threads for chase-backed\n"
-      "                                commands (0 = MM2_THREADS env);\n"
-      "                                pool metrics land in stats/explain\n"
       "  stats [--json]                dump the metrics registry\n"
       "  explain [--json]              ranked cost report (operators,\n"
       "                                chase rules, strata, span phases)\n"

@@ -25,10 +25,11 @@ if [[ "${1:-}" == "--tsan" ]]; then
   BUILD_DIR="${BUILD_DIR_TSAN:-build-tsan}"
   # The suites exercising RelationInstance's index/delta machinery
   # (concurrent-probe test, production-vs-reference differential sweep)
-  # plus the parallel executor: the work-stealing pool itself, the threads-axis
-  # chase differentials, and the sharded parallel hash join. InternPool /
-  # ValueIntern cover the sharded string pool: racing Intern() calls and
-  # lock-free Get()s from freshly published chunks.
+  # plus the one parallel executor left: the work-stealing pool itself and
+  # the sharded parallel hash join that runs on it. The chase is serial, so
+  # its sweeps here guard the shared state it touches rather than a fan-out.
+  # InternPool / ValueIntern cover the sharded string pool: racing Intern()
+  # calls and lock-free Get()s from freshly published chunks.
   # EventLog/CancelToken/Watchdog join the filter: the event log's ring
   # mutex + enabled/emitted atomics and the cancel token's relaxed stop
   # flag are exactly the kind of cross-thread state TSan is here for.
@@ -38,21 +39,19 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # events ride the shared registry/event-log mutexes.
   # Segment/RelationSegment/ChaseSegmentedDiffProperty/
   # ClosureSegmentedDiffProperty cover the columnar segment layer: the
-  # const PrepareSegments reseal under index_mu_, segment probes racing
-  # the chase's parallel match fan-out, and the batched retain pass whose
-  # candidate chunks are evaluated across the worker pool. SegmentPolicyTest
-  # pins the fixed tier policy those run lists follow.
+  # const PrepareSegments reseal under index_mu_ next to the reader-locked
+  # probe path. SegmentPolicyTest pins the fixed tier policy those run
+  # lists follow.
   # EqualsUpToNulls/TombstoneDeltaView/MaintainDRed/IncrementalSweep cover
   # the incremental-exchange layer: tombstone-aware delta views slicing
   # runs the (const, mutex-guarded) reseal path also mutates, and session
   # maintenance driving Erase/Insert churn against the lazily built
   # log-position map under the same index_mu_.
   # EgdReferenceDiffProperty/EgdBatchTest/SkolemCollisionTest cover the
-  # batched egd pass: the reference sweep (tests/reference_chase.h) and the
-  # batch edge cases run it at 4 threads next to the parallel match
-  # fan-out, and the Skolem-memo collision cases drive its substitution
-  # through session maintenance.
-  TEST_FILTER="ChaseDiffProperty|ClosureDiffProperty|ChaseSerializeDiffProperty|RelationInstance|InstanceTest|InternPool|ValueIntern|ThreadPool|ResolveThreadCount|ChaseParallelDiffProperty|ClosureParallelDiffProperty|ChaseStratifiedDiffProperty|ClosureStratifiedDiffProperty|AnalysisTest|WatchdogForesight|ParallelHashJoin|Parallelism|EventLog|CancelToken|Watchdog|SegmentInserterTest|SegmentMergeTest|SegmentProbeTest|RelationSegmentTest|InstanceSegmentTest|ChaseSegmentedDiffProperty|ClosureSegmentedDiffProperty|EqualsUpToNulls|TombstoneDeltaView|MaintainDRed|IncrementalSweep|EgdReferenceDiffProperty|EgdBatchTest|SkolemCollisionTest|SegmentPolicyTest"
+  # batched egd pass: the reference sweep (tests/reference_chase.h), the
+  # batch edge cases, and the Skolem-memo collision cases that drive its
+  # substitution through session maintenance.
+  TEST_FILTER="ChaseDiffProperty|ClosureDiffProperty|ChaseSerializeDiffProperty|RelationInstance|InstanceTest|InternPool|ValueIntern|ThreadPool|ResolveThreadCount|ChaseStratifiedDiffProperty|ClosureStratifiedDiffProperty|AnalysisTest|WatchdogForesight|ParallelHashJoin|EventLog|CancelToken|Watchdog|SegmentInserterTest|SegmentMergeTest|SegmentProbeTest|RelationSegmentTest|InstanceSegmentTest|ChaseSegmentedDiffProperty|ClosureSegmentedDiffProperty|EqualsUpToNulls|TombstoneDeltaView|MaintainDRed|IncrementalSweep|EgdReferenceDiffProperty|EgdBatchTest|SkolemCollisionTest|SegmentPolicyTest"
 fi
 
 cmake -B "$BUILD_DIR" -S . \

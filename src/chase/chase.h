@@ -109,14 +109,8 @@ struct ChaseOptions {
   // acyclic, instead of running into max_rounds. s-t tgd mappings are
   // always weakly acyclic; this matters for intra-schema closures.
   bool require_weak_acyclicity = false;
-  // Worker threads for the partitioned match phase. 0 defers to the
-  // MM2_THREADS environment variable, which defaults to 1 (serial — the
-  // exact PR-3 code path). The parallel executor partitions each rule's
-  // depth-0 candidates into contiguous chunks matched concurrently against
-  // the immutable pre-fire snapshot and concatenates chunk results in
-  // order, so firing order — and with it null naming, ChaseStats firing
-  // counts, and egd semantics — is identical to the serial run at any
-  // thread count.
+  // Ignored: the chase runs serially. Kept only so existing callers that
+  // still set it keep compiling.
   std::size_t threads = 0;
   // --- Resource budgets (the watchdog; 0 = unlimited) --------------------
   // Soft limits checked at every round boundary. On breach the chase stops
@@ -159,9 +153,9 @@ struct ChaseOptions {
   bool stratified = false;
   const analysis::MappingAnalysis* analysis = nullptr;
   // Optional external stop switch (a server admission controller, a test).
-  // The chase polls it at round boundaries and inside the (possibly
-  // parallel) match path; budget breaches trip the same token, so every
-  // layer unwinds through one mechanism. May outlive the call site's
+  // The chase polls it at round boundaries and inside the match path;
+  // budget breaches trip the same token, so every layer unwinds through
+  // one mechanism. May outlive the call site's
   // ChaseOptions copy semantics: not owned.
   obs::CancelToken* cancel = nullptr;
   // Optional collector: when set, the chase opens a `chase.run` span with
@@ -220,17 +214,14 @@ struct ChaseStats {
   // empty.
   std::size_t delta_tuples = 0;
   std::size_t delta_skips = 0;
-  // Parallel-executor telemetry, mirrored as `chase.parallel.*`. `workers`
-  // is the resolved thread count (1 = serial run, the fields below stay 0).
-  // busy/wall let `explain` derive speedup (busy/wall) and efficiency
-  // (speedup/workers) for the parallelism section.
+  // Never written: the chase runs serially, so `workers` stays 1 and the
+  // parallel fields stay 0. Kept only for existing readers.
   std::size_t workers = 1;
-  std::size_t parallel_regions = 0;     // partitioned match fan-outs
-  std::size_t parallel_tasks = 0;       // chunks executed across regions
-  std::uint64_t parallel_steals = 0;    // pool work-stealing events
-  std::uint64_t pool_peak_queue = 0;    // max pending tasks observed
-  double parallel_busy_us = 0;          // summed per-chunk worker time
-  double parallel_wall_us = 0;          // summed fan-out wall time
+  std::size_t parallel_regions = 0;
+  std::size_t parallel_tasks = 0;
+  std::uint64_t parallel_steals = 0;
+  double parallel_busy_us = 0;
+  double parallel_wall_us = 0;
   // Segment-storage telemetry, mirrored as `storage.segment.*`. `segment`
   // is diffed from the instances' cumulative SegmentOpStats around Run()
   // (like index_probes) plus the chase-side retain bookkeeping (candidate
@@ -368,13 +359,12 @@ bool ExistsHomomorphism(const instance::Instance& from,
 // reaches the core (the smallest universal solution, "getting to the
 // core"). Returns the retracted instance. When `obs` is set, emits a
 // `chase.core` span and counts applied retractions as
-// `chase.core_iterations`. `threads` resolves like ChaseOptions::threads
-// (0 = MM2_THREADS, else serial); with more than one worker the candidate
-// validity scan per null runs partitioned, still applying the same (first
-// valid in value order) retraction the serial scan picks. `cancel` is the
-// cooperative stop switch: polled between retraction searches, and on
-// request the current (valid but possibly non-minimal) instance is
-// returned immediately.
+// `chase.core_iterations`. Each null's candidates are tried in value order
+// and the first valid retraction is applied. `threads` is ignored: the
+// scan is serial, and the argument is kept only for existing callers.
+// `cancel` is the cooperative stop switch: polled between retraction
+// searches, and on request the current (valid but possibly non-minimal)
+// instance is returned immediately.
 instance::Instance ComputeCore(const instance::Instance& database,
                                obs::Context* obs = nullptr,
                                std::size_t threads = 0,

@@ -47,28 +47,14 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ThreadPool::BumpSubmitted() {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ThreadPool::BumpExecuted() {
-  executed_.fetch_add(1, std::memory_order_relaxed);
-}
-
 void ThreadPool::Enqueue(std::function<void()> task) {
-  BumpSubmitted();
   std::size_t target =
       next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
   {
     std::lock_guard<std::mutex> lock(queues_[target]->mu);
     queues_[target]->tasks.push_back(std::move(task));
   }
-  std::uint64_t pending = pending_.fetch_add(1, std::memory_order_relaxed) + 1;
-  std::uint64_t peak = peak_queue_.load(std::memory_order_relaxed);
-  while (pending > peak &&
-         !peak_queue_.compare_exchange_weak(peak, pending,
-                                            std::memory_order_relaxed)) {
-  }
+  pending_.fetch_add(1, std::memory_order_relaxed);
   wake_cv_.notify_one();
 }
 
@@ -92,15 +78,11 @@ bool ThreadPool::TryRunOne(std::size_t worker_index) {
       if (!victim.tasks.empty()) {
         task = std::move(victim.tasks.front());
         victim.tasks.pop_front();
-        stolen_.fetch_add(1, std::memory_order_relaxed);
       }
     }
   }
   if (!task) return false;
   pending_.fetch_sub(1, std::memory_order_relaxed);
-  // Count before running: anyone unblocked by the task's future must
-  // already see this task reflected in Stats().executed.
-  BumpExecuted();
   task();
   return true;
 }
@@ -139,15 +121,6 @@ void ThreadPool::ParallelFor(
     begin = end;
   }
   for (auto& future : futures) future.get();
-}
-
-ThreadPoolStats ThreadPool::Stats() const {
-  ThreadPoolStats stats;
-  stats.submitted = submitted_.load(std::memory_order_relaxed);
-  stats.executed = executed_.load(std::memory_order_relaxed);
-  stats.stolen = stolen_.load(std::memory_order_relaxed);
-  stats.peak_queue = peak_queue_.load(std::memory_order_relaxed);
-  return stats;
 }
 
 }  // namespace mm2::common

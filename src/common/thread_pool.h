@@ -1,6 +1,7 @@
-// Work-stealing thread pool shared by the parallel chase match phase, the
-// parallel hash join in algebra::Evaluate, and the ComputeCore candidate
-// scan. Design points:
+// Work-stealing thread pool behind the parallel hash join in
+// algebra::Evaluate. The chase does not use it: a fan-out of its match,
+// retain and core phases was slower than the serial run at every grain
+// measured, so the chase runs serially. Design points:
 //
 //   * One deque per worker, guarded by a per-worker mutex. Owners push/pop
 //     at the back (LIFO, cache-friendly), thieves steal from the front
@@ -10,11 +11,10 @@
 //     trivially ThreadSanitizer-clean.
 //   * Submit returns a std::future so callers can propagate values and
 //     exceptions from workers; parallel regions are fork/join (ParallelFor)
-//     and results are always concatenated in submission order, which is how
-//     the chase keeps its output bit-identical to the serial executor.
+//     and callers concatenate chunk results in chunk order, which is how
+//     the join keeps its output bit-identical to the serial join.
 //   * Construction with size() <= 1 never spawns threads; Submit runs the
-//     task inline. This is the graceful single-thread fallback that keeps
-//     the PR-3 serial paths the differential oracle.
+//     task inline.
 //
 // Thread-count resolution (ResolveThreadCount): an explicit request wins,
 // else the MM2_THREADS environment variable, else 1 (serial). The pool
@@ -43,16 +43,6 @@ namespace mm2::common {
 // The result is clamped to [1, 256].
 std::size_t ResolveThreadCount(std::size_t requested);
 
-// Aggregate counters, readable while the pool runs (relaxed atomics inside;
-// Stats() returns a plain-value snapshot).
-struct ThreadPoolStats {
-  std::uint64_t submitted = 0;   // tasks handed to Submit()
-  std::uint64_t executed = 0;    // tasks dequeued and run (counted at start,
-                                 // so a completed future implies inclusion)
-  std::uint64_t stolen = 0;      // tasks a thief took from another deque
-  std::uint64_t peak_queue = 0;  // max pending tasks observed across deques
-};
-
 class ThreadPool {
  public:
   // Spawns `threads` workers when threads > 1 (the submitting thread only
@@ -74,11 +64,7 @@ class ThreadPool {
     auto task = std::make_shared<std::packaged_task<R()>>(std::forward<Fn>(fn));
     std::future<R> future = task->get_future();
     if (workers_.empty()) {
-      // Single-thread fallback: run inline, still counting the task so
-      // telemetry stays comparable across thread counts.
-      BumpSubmitted();
-      (*task)();
-      BumpExecuted();
+      (*task)();  // single-thread fallback: run inline
       return future;
     }
     Enqueue([task] { (*task)(); });
@@ -93,8 +79,6 @@ class ThreadPool {
       std::size_t total,
       const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
 
-  ThreadPoolStats Stats() const;
-
  private:
   struct WorkerQueue {
     std::mutex mu;
@@ -104,8 +88,6 @@ class ThreadPool {
   void Enqueue(std::function<void()> task);
   void WorkerLoop(std::size_t worker_index);
   bool TryRunOne(std::size_t worker_index);
-  void BumpSubmitted();
-  void BumpExecuted();
 
   std::size_t size_ = 1;
   std::vector<std::unique_ptr<WorkerQueue>> queues_;
@@ -115,10 +97,6 @@ class ThreadPool {
   std::condition_variable wake_cv_;
   bool shutting_down_ = false;
 
-  std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> executed_{0};
-  std::atomic<std::uint64_t> stolen_{0};
-  std::atomic<std::uint64_t> peak_queue_{0};
   std::atomic<std::uint64_t> pending_{0};
   std::atomic<std::size_t> next_queue_{0};
 };

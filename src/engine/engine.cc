@@ -10,6 +10,7 @@
 #include "chase/chase.h"
 #include "common/strings.h"
 #include "obs/profile.h"
+#include "text/sexpr.h"
 #include "transgen/relational.h"
 
 namespace mm2::engine {
@@ -261,7 +262,6 @@ Status Engine::Exchange(const std::string& out_instance,
     op.SetAttribute("clauses", MappingClauses(m));
     op.SetAttribute("source_tuples", source.TotalTuples());
     runtime::ExchangeOptions options;
-    options.threads = threads_;
     // Provenance is always on for engine-level exchanges: it is what the
     // `why` command reads back, and breach diagnostics lean on it too.
     options.track_provenance = true;
@@ -387,9 +387,11 @@ Result<modelgen::InheritanceStrategy> ParseStrategy(const std::string& word) {
                                  "' (want tph|tpt|tpc)");
 }
 
-// One value literal for the `why` command, mirroring the instance text
-// syntax: 42, 4.5, "s" (with \" and \\ escapes), #t/#f, null, N<label>,
-// d:<days>.
+// One value literal for the `why` and `apply` commands, mirroring the
+// instance text syntax: 42, 4.5, "s" (with \" and \\ escapes), #t/#f,
+// null, N<label>, d:<days>. Numbers, labels and dates follow
+// text::ParseScalarToken, so an out-of-range value is an error, not a
+// clamped one.
 Result<instance::Value> ParseValueLiteral(const std::string& token) {
   if (token.empty()) {
     return Status::InvalidArgument("empty value literal");
@@ -408,27 +410,10 @@ Result<instance::Value> ParseValueLiteral(const std::string& token) {
     }
     return instance::Value::String(s);
   }
-  char* end = nullptr;
-  if (token.size() > 1 && token.front() == 'N') {
-    long long label = std::strtoll(token.c_str() + 1, &end, 10);
-    if (end != nullptr && *end == '\0') {
-      return instance::Value::LabeledNull(label);
-    }
-  }
+  Result<instance::Value> scalar = text::ParseScalarToken(token);
+  if (scalar.ok()) return scalar;
   if (token.rfind("d:", 0) == 0) {
-    long long days = std::strtoll(token.c_str() + 2, &end, 10);
-    if (end == nullptr || *end != '\0') {
-      return Status::InvalidArgument("bad date literal: " + token);
-    }
-    return instance::Value::Date(days);
-  }
-  long long i = std::strtoll(token.c_str(), &end, 10);
-  if (end != nullptr && *end == '\0' && end != token.c_str()) {
-    return instance::Value::Int64(i);
-  }
-  double d = std::strtod(token.c_str(), &end);
-  if (end != nullptr && *end == '\0' && end != token.c_str()) {
-    return instance::Value::Double(d);
+    return Status::InvalidArgument("bad date literal: " + token);
   }
   return Status::InvalidArgument("cannot parse value literal '" + token +
                                  "' (want 42, 4.5, \"s\", #t, null, N7, or "
@@ -514,7 +499,6 @@ Result<runtime::Delta> Engine::Maintain(const std::string& mapping) {
   runtime::ExchangeSession& session = it->second;
   // The session replays the engine's current knobs, not the ones in force
   // when the exchange opened it.
-  session.options.threads = threads_;
   session.options.wall_budget_us = budget_wall_us_;
   session.options.tuple_budget = budget_tuples_;
   session.options.rss_budget_kb = budget_rss_kb_;
@@ -673,17 +657,6 @@ Result<std::vector<std::string>> Engine::RunScriptImpl(
                            Match(tokens[1], tokens[2]));
       log.push_back("matched " + tokens[1] + " ~ " + tokens[2] + ": " +
                     std::to_string(result.best.size()) + " correspondences");
-    } else if (op == "threads") {
-      MM2_RETURN_IF_ERROR(need(1));
-      char* end = nullptr;
-      errno = 0;
-      long n = std::strtol(tokens[1].c_str(), &end, 10);
-      if (end == tokens[1].c_str() || *end != '\0' || n < 0 ||
-          errno == ERANGE) {
-        return fail("threads takes a non-negative integer (0 = MM2_THREADS)");
-      }
-      SetThreads(static_cast<std::size_t>(n));
-      log.push_back("threads " + tokens[1]);
     } else if (op == "stats") {
       if (tokens.size() > 1 && tokens[1] != "--json") {
         return fail("stats takes no argument or --json");

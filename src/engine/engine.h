@@ -84,11 +84,9 @@ class Engine {
     return *owned_obs_;
   }
 
-  // Worker threads for chase-backed operators (exchange, core). 0 defers
-  // to the MM2_THREADS environment variable (default 1 = serial). Scripts
-  // set this via the `threads <n>` command.
-  void SetThreads(std::size_t threads) { threads_ = threads; }
-  std::size_t threads() const { return threads_; }
+  // No-op: chase-backed operators run serially. Kept only so existing
+  // callers keep compiling.
+  void SetThreads(std::size_t /*threads*/) {}
 
   // Soft resource budgets applied to chase-backed commands (exchange);
   // 0 = unlimited. On a breach the chase stops gracefully: the partial
@@ -170,8 +168,6 @@ class Engine {
   //   oogen <outSchema> <outMap> <relationalSchema>
   //   nestedgen <outSchema> <outMap> <relationalSchema>
   //   match <left> <right>
-  //   threads <n>                    (worker threads for chase-backed
-  //                                   commands; 0 defers to MM2_THREADS)
   //   stats [--json]                 (dump the metrics registry snapshot;
   //                                   --json emits one machine-readable
   //                                   line with the same metric names)
@@ -221,7 +217,6 @@ class Engine {
   Repository repo_;
   obs::Context* obs_ = nullptr;              // attached collector, if any
   std::unique_ptr<obs::Context> owned_obs_;  // fallback, created lazily
-  std::size_t threads_ = 0;                  // 0 = MM2_THREADS, else serial
   std::uint64_t budget_wall_us_ = 0;         // soft chase budgets; 0 = off
   std::size_t budget_tuples_ = 0;
   std::size_t budget_rss_kb_ = 0;

@@ -106,13 +106,10 @@ struct DeltaView {
 //    the tuples inserted since. Erased tuples are tombstoned in the log, so
 //    watermarks stay stable. This is what makes the chase semi-naive.
 //
-// Thread safety: concurrent const access (Probe/DeltaSince/tuples) is safe
-// AND scalable — index lookups take a shared lock, so concurrent probes from
-// parallel-chase workers do not serialize; only the first Probe of a new
-// column set upgrades to an exclusive lock to build. Callers that fan out
-// can EnsureIndex() the column sets they will probe up front, so no worker
-// ever blocks on a build. Mutation still requires external synchronization,
-// like the containers this wraps.
+// Thread safety: concurrent const access (Probe/DeltaSince/tuples) is safe —
+// index lookups take a shared lock, and only the first Probe of a new
+// column set upgrades to an exclusive lock to build. Mutation still
+// requires external synchronization, like the containers this wraps.
 class RelationInstance {
  public:
   using ColumnSet = std::vector<std::size_t>;
@@ -158,11 +155,6 @@ class RelationInstance {
   // pointer stays valid until the next mutation of this relation.
   const TupleRefs* Probe(const ColumnSet& cols, const Tuple& key) const;
 
-  // Builds the hash index over `cols` if it does not exist yet (counts as a
-  // build, not a probe). Parallel readers call this before fanning out so
-  // every subsequent Probe(cols, ...) takes only the shared lock.
-  void EnsureIndex(const ColumnSet& cols) const;
-
   // Bumped by every successful Insert/Erase/Clear.
   std::uint64_t generation() const { return generation_; }
 
@@ -194,7 +186,7 @@ class RelationInstance {
   const SegmentPolicy& segment_policy() const { return policy_; }
 
   // (Re)seals the segment view to cover the current extension. Const with
-  // cache semantics like EnsureIndex, so const source instances can be
+  // cache semantics like Probe's index build, so const source instances can be
   // sealed once before a run. The first seal (and any erase-dirtied one)
   // is a full rebuild from the set; later ones seal the tail incrementally
   // and compact. No-op if current. With defer_dirty_rebuild, an

@@ -29,7 +29,7 @@ namespace mm2::instance {
 // path and upgrades to exclusive only to insert a new string — consistent
 // with RelationInstance's reader-parallel locking story. Get()/HashOf() are
 // lock-free: ids index into append-only chunk arrays whose chunk pointers
-// are published with release stores, so parallel chase workers resolving
+// are published with release stores, so concurrent readers resolving
 // string order never contend.
 class StringPool {
  public:

@@ -409,7 +409,6 @@ Result<ExchangeResult> Exchange(const logic::Mapping& mapping,
   chase::ChaseOptions chase_options;
   chase_options.track_provenance = options.track_provenance;
   chase_options.stratified = options.stratified;
-  chase_options.threads = options.threads;
   chase_options.wall_budget_us = options.wall_budget_us;
   chase_options.tuple_budget = options.tuple_budget;
   chase_options.rss_budget_kb = options.rss_budget_kb;
@@ -427,7 +426,7 @@ Result<ExchangeResult> Exchange(const logic::Mapping& mapping,
   if (options.compute_core && !result.breach.has_value()) {
     result.pre_core_tuples = chased.target.TotalTuples();
     result.target = chase::ComputeCore(chased.target, options.obs,
-                                       options.threads, options.cancel);
+                                       /*threads=*/0, options.cancel);
   } else {
     result.target = std::move(chased.target);
   }
@@ -449,7 +448,6 @@ chase::ChaseOptions SessionChaseOptions(const ExchangeOptions& options) {
   // Provenance is the deletion substrate; sessions always record it.
   copts.track_provenance = true;
   copts.stratified = options.stratified;
-  copts.threads = options.threads;
   copts.wall_budget_us = options.wall_budget_us;
   copts.tuple_budget = options.tuple_budget;
   copts.rss_budget_kb = options.rss_budget_kb;

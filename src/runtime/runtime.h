@@ -198,8 +198,8 @@ struct ExchangeOptions {
   // budget is set). Off by default: the flat semi-naive chase is the
   // baseline and the analysis pass is not free.
   bool stratified = false;
-  // Worker threads for the parallel chase executor (and the core scan when
-  // compute_core is set): 0 defers to MM2_THREADS, default 1 = serial.
+  // Ignored: the chase and the core scan run serially. Kept only so
+  // existing callers that still set it keep compiling.
   std::size_t threads = 0;
   // Soft resource budgets, forwarded to ChaseOptions (0 = unlimited). On a
   // breach the chase stops gracefully and ExchangeResult::breach reports

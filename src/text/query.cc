@@ -1,11 +1,11 @@
 #include "text/query.h"
 
 #include <cctype>
-#include <charconv>
-#include <cstdlib>
+#include <utility>
 #include <vector>
 
 #include "instance/value.h"
+#include "text/sexpr.h"
 
 namespace mm2::text {
 
@@ -113,34 +113,20 @@ class QueryParser {
         c == '+') {
       std::size_t start = pos_;
       if (c == '-' || c == '+') ++pos_;
-      bool floating = false;
-      while (pos_ < text_.size() &&
-             (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-              text_[pos_] == '.' || text_[pos_] == 'e' ||
-              text_[pos_] == 'E')) {
-        if (text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E') {
-          floating = true;
+      while (pos_ < text_.size()) {
+        char d = text_[pos_];
+        bool exponent_sign = (d == '-' || d == '+') &&
+                             (text_[pos_ - 1] == 'e' || text_[pos_ - 1] == 'E');
+        if (!std::isdigit(static_cast<unsigned char>(d)) && d != '.' &&
+            d != 'e' && d != 'E' && !exponent_sign) {
+          break;
         }
         ++pos_;
       }
-      std::string token(text_.substr(start, pos_ - start));
-      if (floating) {
-        char* end = nullptr;
-        double d = std::strtod(token.c_str(), &end);
-        if (end != token.c_str() + token.size()) {
-          return Error("unparsable number '" + token + "'");
-        }
-        return Term::Const(Value::Double(d));
-      }
-      std::string_view digits = token;
-      if (!digits.empty() && digits[0] == '+') digits.remove_prefix(1);
-      std::int64_t i = 0;
-      auto [ptr, ec] =
-          std::from_chars(digits.data(), digits.data() + digits.size(), i);
-      if (ec != std::errc() || ptr != digits.data() + digits.size()) {
-        return Error("unparsable integer '" + token + "'");
-      }
-      return Term::Const(Value::Int64(i));
+      Result<Value> number =
+          ParseScalarToken(text_.substr(start, pos_ - start));
+      if (!number.ok()) return Error(number.status().message());
+      return Term::Const(std::move(*number));
     }
     MM2_ASSIGN_OR_RETURN(std::string name, ParseIdentifier());
     if (name == "null") return Term::Const(Value::Null());

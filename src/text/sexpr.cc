@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -290,60 +291,67 @@ Result<Value> ParseValue(const Node& node) {
   if (t == "null") return Value::Null();
   if (t == "#t") return Value::Bool(true);
   if (t == "#f") return Value::Bool(false);
-  auto parse_int = [&](std::string_view digits,
-                       std::int64_t* out) -> bool {
-    auto [ptr, ec] = std::from_chars(digits.data(),
-                                     digits.data() + digits.size(), *out);
-    return ec == std::errc() && ptr == digits.data() + digits.size();
-  };
+  Result<Value> scalar = ParseScalarToken(t);
+  if (!scalar.ok()) return NodeError(node, scalar.status().message());
+  return scalar;
+}
+
+// The whole of `digits` as an int64; false when it is malformed or out of
+// range.
+bool ParseInt64(std::string_view digits, std::int64_t* out) {
+  auto [ptr, ec] =
+      std::from_chars(digits.data(), digits.data() + digits.size(), *out);
+  return ec == std::errc() && ptr == digits.data() + digits.size();
+}
+
+}  // namespace
+
+Result<Value> ParseScalarToken(std::string_view t) {
+  std::int64_t n = 0;
   if (t.size() > 1 && t[0] == 'N' &&
-      std::isdigit(static_cast<unsigned char>(t[1]))) {
-    std::int64_t label = 0;
-    if (parse_int(std::string_view(t).substr(1), &label)) {
-      return Value::LabeledNull(label);
-    }
+      std::isdigit(static_cast<unsigned char>(t[1])) &&
+      ParseInt64(t.substr(1), &n)) {
+    return Value::LabeledNull(n);
   }
-  if (t.size() > 2 && t[0] == 'd' && t[1] == ':') {
-    std::int64_t days = 0;
-    if (parse_int(std::string_view(t).substr(2), &days)) {
-      return Value::Date(days);
-    }
+  if (t.size() > 2 && t[0] == 'd' && t[1] == ':' &&
+      ParseInt64(t.substr(2), &n)) {
+    return Value::Date(n);
   }
-  // Numeric: int64 unless it contains '.' or 'e'.
-  bool numeric = true;
+  auto unparsable = [t](const char* what) {
+    return Status::InvalidArgument(std::string("unparsable ") + what + " '" +
+                                   std::string(t) + "'");
+  };
+  bool numeric = !t.empty();
   bool floating = false;
   for (std::size_t i = 0; i < t.size(); ++i) {
     char c = t[i];
     if (c == '.' || c == 'e' || c == 'E') {
       floating = true;
     } else if (!std::isdigit(static_cast<unsigned char>(c)) &&
-               !(i == 0 && (c == '-' || c == '+'))) {
+               !((c == '-' || c == '+') &&
+                 (i == 0 || t[i - 1] == 'e' || t[i - 1] == 'E'))) {
       numeric = false;
       break;
     }
   }
-  if (!numeric) return NodeError(node, "unparsable value '" + t + "'");
+  if (!numeric) return unparsable("value");
   if (floating) {
+    // strtod needs a terminated string; it also keeps subnormals, which
+    // the writer's %.17g can print.
+    const std::string token(t);
     char* end = nullptr;
-    double d = std::strtod(t.c_str(), &end);
-    if (end != t.c_str() + t.size()) {
-      return NodeError(node, "unparsable double '" + t + "'");
+    double d = std::strtod(token.c_str(), &end);
+    if (end != token.c_str() + token.size() || !std::isfinite(d)) {
+      return unparsable("double");
     }
     return Value::Double(d);
   }
   // std::from_chars rejects an explicit '+' sign; strip it.
-  std::string_view digits = t;
-  if (!digits.empty() && digits[0] == '+') digits.remove_prefix(1);
-  std::int64_t i = 0;
-  auto [ptr, ec] =
-      std::from_chars(digits.data(), digits.data() + digits.size(), i);
-  if (ec != std::errc() || ptr != digits.data() + digits.size()) {
-    return NodeError(node, "unparsable integer '" + t + "'");
+  if (!ParseInt64(t[0] == '+' ? t.substr(1) : t, &n)) {
+    return unparsable("integer");
   }
-  return Value::Int64(i);
+  return Value::Int64(n);
 }
-
-}  // namespace
 
 namespace {
 Result<Schema> SchemaFromNode(const Node& root);

@@ -47,6 +47,17 @@ std::string SchemaToText(const model::Schema& schema);
 std::string InstanceToText(const instance::Instance& database);
 std::string MappingToText(const logic::Mapping& mapping);
 
+// Parses one number, N<label> or d:<days> token of the value syntax above;
+// the instance reader, the query reader and the engine's fact literals all
+// use it. A token made of digits, '.', 'e' and 'E' (with an optional sign
+// at the start and after the exponent mark, as %g writes it) is a number:
+// a double when it holds '.', 'e' or 'E', else an int64. N<label> needs a
+// digit right after the N; d:<days> takes an optional '-'. A value outside
+// int64, or a double that overflows, is rejected, never clamped. Errors
+// are InvalidArgument "unparsable integer|double|value '<token>'", without
+// an offset.
+Result<instance::Value> ParseScalarToken(std::string_view token);
+
 // Parsing. Errors carry a character offset.
 Result<model::Schema> ParseSchema(std::string_view text);
 Result<instance::Instance> ParseInstance(std::string_view text);

@@ -1,12 +1,12 @@
 // Differential tests for the chase: the production chase (semi-naive,
-// restricted, segment-backed, at any thread count or schedule) must agree
+// restricted, segment-backed, under either schedule) must agree
 // with the tests-only reference chase in reference_chase.h, which shares no
 // matcher or chase code with it, on every randomly generated mapping.
 // Agreement means identical status codes and, on success, instances equal
 // up to null renaming with the same number of egd unifications. Full-tgd
 // closure cases invent no nulls, so there the results must be exactly
-// equal. The threads and stratified axes further require production runs
-// to be bit-identical to the serial flat run.
+// equal. The stratified axis further requires production runs to be
+// bit-identical to the flat run.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -35,12 +35,6 @@ using logic::Mapping;
 using logic::Term;
 using logic::Tgd;
 using workload::Rng;
-
-ChaseOptions ThreadedMode(std::size_t threads) {
-  ChaseOptions o;
-  o.threads = threads;
-  return o;
-}
 
 ChaseOptions StratifiedMode() {
   ChaseOptions o;
@@ -383,65 +377,36 @@ TEST_P(ClosureDiffProperty, TransitiveClosureExactlyEqual) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ClosureDiffProperty, ::testing::Range(0, 20));
 
-// Parallel executor axis: the partitioned match phase must be a pure
-// implementation detail. At any thread count the chase partitions depth-0
-// candidates into contiguous chunks and concatenates chunk results in
-// order, so the assignment enumeration — and with it firing order, null
-// naming and every ChaseStats firing counter — is identical to the serial
-// run. We assert exact instance equality (stronger than the hom-equivalence
-// the acceptance bar asks for) plus counter identity. Index telemetry is
-// deliberately excluded: the parallel path pre-builds probe indexes before
-// fanning out, so index_builds may differ from the lazy serial schedule.
-void ExpectSameFiringCounts(const ChaseStats& serial,
-                            const ChaseStats& parallel, int seed,
-                            std::size_t threads) {
-  EXPECT_EQ(serial.rounds, parallel.rounds)
-      << "seed " << seed << " threads " << threads;
-  EXPECT_EQ(serial.tgd_firings, parallel.tgd_firings)
-      << "seed " << seed << " threads " << threads;
-  EXPECT_EQ(serial.nulls_created, parallel.nulls_created)
-      << "seed " << seed << " threads " << threads;
-  EXPECT_EQ(serial.egd_unifications, parallel.egd_unifications)
-      << "seed " << seed << " threads " << threads;
-  EXPECT_EQ(serial.assignments_matched, parallel.assignments_matched)
-      << "seed " << seed << " threads " << threads;
-}
-
+// ChaseOptions::threads is ignored: the chase runs serially, so a run that
+// asks for 2, 4 or 8 threads is the default run, with the same instance
+// text (null names included), one worker and no fan-out.
 class ChaseParallelDiffProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(ChaseParallelDiffProperty, ThreadCountIsImplementationDetail) {
   Scenario s = MakeScenario(static_cast<std::uint64_t>(GetParam()));
   Mapping mapping =
       Mapping::FromTgds("m", s.source, s.target, s.tgds, s.egds);
-
-  auto serial = RunChase(mapping, s.db, ThreadedMode(1));
-  if (serial.ok()) {
-    EXPECT_EQ(serial->stats.workers, 1u);
-  }
+  auto serial = RunChase(mapping, s.db);
   for (std::size_t threads : {2u, 4u, 8u}) {
-    auto parallel = RunChase(mapping, s.db, ThreadedMode(threads));
-    ASSERT_EQ(serial.status().code(), parallel.status().code())
-        << "seed " << GetParam() << " threads " << threads
-        << ": serial=" << serial.status()
-        << " parallel=" << parallel.status();
+    ChaseOptions options;
+    options.threads = threads;
+    auto asked = RunChase(mapping, s.db, options);
+    ASSERT_EQ(serial.status().code(), asked.status().code())
+        << "seed " << GetParam() << " threads " << threads;
     if (!serial.ok()) continue;
-    EXPECT_EQ(parallel->stats.workers, threads);
-    EXPECT_EQ(text::InstanceToText(parallel->target),
+    EXPECT_EQ(text::InstanceToText(asked->target),
               text::InstanceToText(serial->target))
         << "seed " << GetParam() << " threads " << threads;
-    ExpectSameFiringCounts(serial->stats, parallel->stats, GetParam(),
-                           threads);
+    EXPECT_EQ(asked->stats.workers, 1u);
+    EXPECT_EQ(asked->stats.parallel_regions, 0u);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ChaseParallelDiffProperty,
                          ::testing::Range(0, 40));
 
-// Transitive closure at thread counts {1,2,4,8}: multi-round semi-naive
-// delta propagation through the partitioned per-anchor passes must stay
-// exactly equal to the serial fixpoint (itself equal to the reference's),
-// and the parallel telemetry must only appear when more than one worker
-// ran.
+// The same over transitive closures, whose multi-round delta propagation
+// also matches the reference exactly.
 class ClosureParallelDiffProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(ClosureParallelDiffProperty, ParallelClosureExactlyEqual) {
@@ -466,20 +431,17 @@ TEST_P(ClosureParallelDiffProperty, ParallelClosureExactlyEqual) {
   step.head = {Atom{"T", {Term::Var("x"), Term::Var("z")}}};
   std::vector<Tgd> tgds = {copy, step};
 
-  auto serial = ChaseInstance(tgds, {}, db, ThreadedMode(1));
-  ASSERT_TRUE(serial.ok()) << serial.status();
-  EXPECT_EQ(serial->stats.parallel_regions, 0u);
   auto ref = reference::ReferenceChaseInstance(tgds, {}, db);
   ASSERT_TRUE(ref.ok()) << ref.status();
-  EXPECT_TRUE(serial->target.Equals(ref->target)) << "seed " << GetParam();
   for (std::size_t threads : {2u, 4u, 8u}) {
-    auto parallel = ChaseInstance(tgds, {}, db, ThreadedMode(threads));
-    ASSERT_TRUE(parallel.ok()) << parallel.status();
-    EXPECT_TRUE(parallel->target.Equals(serial->target))
+    ChaseOptions options;
+    options.threads = threads;
+    auto asked = ChaseInstance(tgds, {}, db, options);
+    ASSERT_TRUE(asked.ok()) << asked.status();
+    EXPECT_TRUE(asked->target.Equals(ref->target))
         << "seed " << GetParam() << " threads " << threads;
-    ExpectSameFiringCounts(serial->stats, parallel->stats, GetParam(),
-                           threads);
-    EXPECT_EQ(parallel->stats.workers, threads);
+    EXPECT_EQ(asked->stats.workers, 1u);
+    EXPECT_EQ(asked->stats.parallel_regions, 0u);
   }
 }
 
@@ -624,8 +586,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ClosureStratifiedDiffProperty,
 
 // Segment axis: every run seals its relations into sorted columnar runs,
 // serves prefix probes from them and batches existential-free head checks
-// through them. At one thread and at four, the segment-backed production
-// chase must match the reference, which scans plain sets.
+// through them. The segment-backed production chase must match the
+// reference, which scans plain sets.
 class ChaseSegmentedDiffProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(ChaseSegmentedDiffProperty, StorageModeIsImplementationDetail) {
@@ -633,16 +595,13 @@ TEST_P(ChaseSegmentedDiffProperty, StorageModeIsImplementationDetail) {
   Mapping mapping =
       Mapping::FromTgds("m", s.source, s.target, s.tgds, s.egds);
   auto ref = reference::ReferenceRunChase(mapping, s.db);
-  for (std::size_t threads : {1u, 4u}) {
-    const std::string what = "seed " + std::to_string(GetParam()) +
-                             " threads " + std::to_string(threads);
-    auto chased = RunChase(mapping, s.db, ThreadedMode(threads));
-    ExpectMatchesReference(chased, ref, what);
-    if (!chased.ok()) continue;
-    // The source and every touched target relation were sealed.
-    EXPECT_GT(chased->stats.segment.seals, 0u) << what;
-    EXPECT_GT(chased->stats.segment_shape.live_segments, 0u) << what;
-  }
+  const std::string what = "seed " + std::to_string(GetParam());
+  auto chased = RunChase(mapping, s.db);
+  ExpectMatchesReference(chased, ref, what);
+  if (!chased.ok()) return;
+  // The source and every touched target relation were sealed.
+  EXPECT_GT(chased->stats.segment.seals, 0u) << what;
+  EXPECT_GT(chased->stats.segment_shape.live_segments, 0u) << what;
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ChaseSegmentedDiffProperty,
@@ -680,32 +639,23 @@ TEST_P(ClosureSegmentedDiffProperty, SegmentedClosureExactlyEqual) {
 
   auto ref = reference::ReferenceChaseInstance(tgds, {}, db);
   ASSERT_TRUE(ref.ok()) << ref.status();
-  auto serial = ChaseInstance(tgds, {}, db, ThreadedMode(1));
-  ASSERT_TRUE(serial.ok()) << serial.status();
-  for (std::size_t threads : {1u, 4u}) {
-    auto seg = ChaseInstance(tgds, {}, db, ThreadedMode(threads));
-    ASSERT_TRUE(seg.ok()) << seg.status();
-    EXPECT_TRUE(seg->target.Equals(ref->target))
-        << "seed " << GetParam() << " threads " << threads;
-    EXPECT_EQ(text::InstanceToText(seg->target),
-              text::InstanceToText(ref->target))
-        << "seed " << GetParam() << " threads " << threads;
-    ExpectSameFiringCounts(serial->stats, seg->stats, GetParam(), threads);
-    // The segment layer must actually carry the hot path: prefix probes
-    // served from sealed segments and head dedup through batched retain.
-    EXPECT_GT(seg->stats.segment.probes, 0u)
-        << "seed " << GetParam() << " threads " << threads;
-    EXPECT_GT(seg->stats.segment.retain_batches, 0u)
-        << "seed " << GetParam() << " threads " << threads;
-    EXPECT_GT(seg->stats.segment.seals, 0u);
-    // A run that only ever declined (fallbacks with zero served probes)
-    // would mean the tiered view silently never engaged.
-    EXPECT_FALSE(seg->stats.segment.fallbacks > 0 &&
-                 seg->stats.segment.probes == 0)
-        << "silent fallback: " << seg->stats.segment.fallbacks
-        << " fallbacks with zero served probes (seed " << GetParam()
-        << " threads " << threads << ")";
-  }
+  auto seg = ChaseInstance(tgds, {}, db);
+  ASSERT_TRUE(seg.ok()) << seg.status();
+  EXPECT_TRUE(seg->target.Equals(ref->target)) << "seed " << GetParam();
+  EXPECT_EQ(text::InstanceToText(seg->target),
+            text::InstanceToText(ref->target))
+      << "seed " << GetParam();
+  // The segment layer must actually carry the hot path: prefix probes
+  // served from sealed segments and head dedup through batched retain.
+  EXPECT_GT(seg->stats.segment.probes, 0u) << "seed " << GetParam();
+  EXPECT_GT(seg->stats.segment.retain_batches, 0u) << "seed " << GetParam();
+  EXPECT_GT(seg->stats.segment.seals, 0u);
+  // A run that only ever declined (fallbacks with zero served probes)
+  // would mean the tiered view silently never engaged.
+  EXPECT_FALSE(seg->stats.segment.fallbacks > 0 &&
+               seg->stats.segment.probes == 0)
+      << "silent fallback: " << seg->stats.segment.fallbacks
+      << " fallbacks with zero served probes (seed " << GetParam() << ")";
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ClosureSegmentedDiffProperty,
@@ -713,10 +663,10 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ClosureSegmentedDiffProperty,
 
 // Egd-reference axis: the production chase applies each egd pass as one
 // batched substitution, while the reference unifies one violation at a
-// time and rewrites everything after each. These cases run production at
-// four threads, the key-egd graphs also serially and the key-egd graphs
-// and Skolem scenarios also stratified (ChaseDiffProperty and
-// ChaseStratifiedDiffProperty cover the rest); all must reach the
+// time and rewrites everything after each. These cases run production
+// flat, and the key-egd graphs and Skolem scenarios also stratified
+// (ChaseDiffProperty and ChaseStratifiedDiffProperty cover the rest);
+// all must reach the
 // reference's instance up to null names with the same number of
 // unifications.
 //
@@ -784,9 +734,7 @@ TEST_P(EgdReferenceDiffProperty, KeyEgdGraphMatchesReference) {
   auto ref = reference::ReferenceChaseInstance(g.tgds, g.egds, g.db);
   const std::string seed = "seed " + std::to_string(GetParam());
   ExpectMatchesReference(ChaseInstance(g.tgds, g.egds, g.db), ref,
-                         seed + " serial");
-  ExpectMatchesReference(ChaseInstance(g.tgds, g.egds, g.db, ThreadedMode(4)),
-                         ref, seed + " threads 4");
+                         seed + " flat");
   ExpectMatchesReference(ChaseInstance(g.tgds, g.egds, g.db, StratifiedMode()),
                          ref, seed + " stratified");
 }
@@ -795,9 +743,9 @@ TEST_P(EgdReferenceDiffProperty, TgdScenarioMatchesReference) {
   Scenario s = MakeScenario(static_cast<std::uint64_t>(GetParam()));
   Mapping mapping =
       Mapping::FromTgds("m", s.source, s.target, s.tgds, s.egds);
-  ExpectMatchesReference(RunChase(mapping, s.db, ThreadedMode(4)),
+  ExpectMatchesReference(RunChase(mapping, s.db),
                          reference::ReferenceRunChase(mapping, s.db),
-                         "seed " + std::to_string(GetParam()) + " threads 4");
+                         "seed " + std::to_string(GetParam()) + " flat");
 }
 
 TEST_P(EgdReferenceDiffProperty, SkolemScenarioMatchesReference) {
@@ -805,8 +753,7 @@ TEST_P(EgdReferenceDiffProperty, SkolemScenarioMatchesReference) {
   Mapping mapping = s.ToMapping();
   auto ref = reference::ReferenceRunChase(mapping, s.db);
   const std::string seed = "seed " + std::to_string(GetParam());
-  ExpectMatchesReference(RunChase(mapping, s.db, ThreadedMode(4)), ref,
-                         seed + " threads 4");
+  ExpectMatchesReference(RunChase(mapping, s.db), ref, seed + " flat");
   ExpectMatchesReference(RunChase(mapping, s.db, StratifiedMode()), ref,
                          seed + " stratified");
 }

@@ -127,51 +127,6 @@ TEST_F(EngineExtTest, ScriptArgumentErrors) {
   EXPECT_FALSE(engine_.RunScript("nestedgen a b Missing").ok());
 }
 
-TEST_F(EngineExtTest, ThreadsCommandMirrorsIntoExchange) {
-  // `threads 4` persists on the engine and flows into the chase behind
-  // exchange; the result must be identical to the serial run, and the
-  // mirrored pool telemetry must land in the engine's metrics registry
-  // (surfaced by the `stats` command).
-  auto serial = engine_.RunScript("exchange Dserial flatten D");
-  ASSERT_TRUE(serial.ok()) << serial.status();
-  auto log = engine_.RunScript(R"(
-threads 4
-exchange Dpar flatten D
-stats
-)");
-  ASSERT_TRUE(log.ok()) << log.status();
-  EXPECT_EQ(engine_.threads(), 4u);
-  auto ser = engine_.repo().GetInstance("Dserial");
-  auto par = engine_.repo().GetInstance("Dpar");
-  ASSERT_TRUE(ser.ok() && par.ok());
-  EXPECT_TRUE(par->Equals(*ser));
-  std::string joined;
-  for (const std::string& line : *log) joined += line + "\n";
-  EXPECT_NE(joined.find("threads 4"), std::string::npos);
-  EXPECT_NE(joined.find("chase.parallel.workers"), std::string::npos)
-      << joined;
-}
-
-TEST_F(EngineExtTest, ThreadsCommandRejectsBadArguments) {
-  EXPECT_FALSE(engine_.RunScript("threads").ok());
-  EXPECT_FALSE(engine_.RunScript("threads four").ok());
-  EXPECT_FALSE(engine_.RunScript("threads -1").ok());
-  EXPECT_TRUE(engine_.RunScript("threads 0").ok());  // 0 = defer to env
-  EXPECT_EQ(engine_.threads(), 0u);
-}
-
-// A count past the range of long is rejected with the usual message, not
-// saturated and echoed. Only parses: no exchange runs afterwards.
-TEST_F(EngineExtTest, ThreadsCommandRejectsOutOfRange) {
-  auto log = engine_.RunScript("threads 99999999999999999999");
-  ASSERT_FALSE(log.ok());
-  EXPECT_EQ(log.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(log.status().message().find("threads takes a non-negative"),
-            std::string::npos)
-      << log.status();
-  EXPECT_EQ(engine_.threads(), 0u);
-}
-
 TEST_F(EngineExtTest, ExplainReportsOperatorAndRuleAttribution) {
   auto log = engine_.RunScript(R"(
 exchange Dout flatten D
@@ -364,6 +319,26 @@ TEST_F(EngineExtTest, WhyReportsUnderivedFactAndBadInput) {
   // Malformed fact literals fail with a parse diagnostic.
   EXPECT_FALSE(engine_.RunScript("why notafact").ok());
   EXPECT_FALSE(engine_.RunScript("why Flat(oops)").ok());
+}
+
+// Fact literals share the instance reader's number grammar: an
+// out-of-range value is rejected instead of being clamped to the int64
+// range (and then looked up or queued), and N<label> needs a digit right
+// after the N.
+TEST_F(EngineExtTest, FactLiteralsRejectOutOfRangeAndMalformedValues) {
+  for (const char* bad :
+       {"99999999999999999999", "d:99999999999999999999", "N-5", "N 3",
+        "1e999"}) {
+    auto log = engine_.RunScript(std::string("apply +Orders(") + bad +
+                                 ", \"x\")");
+    ASSERT_FALSE(log.ok()) << bad;
+    EXPECT_EQ(log.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  ASSERT_TRUE(engine_.RunScript("exchange Dout flatten D").ok());
+  auto why = engine_.RunScript("why Flat(99999999999999999999,\"x\",0)");
+  ASSERT_FALSE(why.ok());
+  EXPECT_EQ(why.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(engine_.RunScript("apply +Orders(N3, d:-2)").ok());
 }
 
 TEST_F(EngineExtTest, WhyRequiresAPriorExchange) {

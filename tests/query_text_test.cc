@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "text/query.h"
 
 namespace mm2::text {
@@ -57,6 +60,22 @@ TEST(QueryParserTest, Errors) {
   EXPECT_FALSE(ParseQuery("Q(z) :- R(x)").ok());          // unsafe head
   EXPECT_FALSE(ParseQuery("Q(x) :- R(\"open").ok());      // bad string
   EXPECT_FALSE(ParseQuery("Q(x) :- R(#x)").ok());         // bad bool
+}
+
+// Numbers follow text::ParseScalarToken: no clamping, no infinity.
+TEST(QueryParserTest, OutOfRangeAndNonFiniteNumbersRejected) {
+  for (const char* bad : {"1e999", "-1e999", "99999999999999999999"}) {
+    auto q = ParseQuery(std::string("Q(x) :- R(x, ") + bad + ")");
+    ASSERT_FALSE(q.ok()) << bad;
+    EXPECT_NE(q.status().message().find(std::string("'") + bad + "'"),
+              std::string::npos)
+        << q.status();
+  }
+  auto q = ParseQuery("Q(x) :- R(x, 1e+308, -9223372036854775808, 2.5e-3)");
+  ASSERT_TRUE(q.ok()) << q.status();
+  EXPECT_EQ(q->body[0].terms[1], Term::Const(Value::Double(1e308)));
+  EXPECT_EQ(q->body[0].terms[2], Term::Const(Value::Int64(INT64_MIN)));
+  EXPECT_EQ(q->body[0].terms[3], Term::Const(Value::Double(2.5e-3)));
 }
 
 TEST(QueryParserTest, RoundTripThroughToString) {

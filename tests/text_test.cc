@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "text/sexpr.h"
 
 namespace mm2::text {
@@ -105,6 +108,55 @@ TEST(SexprParseErrorTest, ReportsOffset) {
   auto err = ParseSchema("(schema X relational (relation))");
   ASSERT_FALSE(err.ok());
   EXPECT_NE(err.status().message().find("offset"), std::string::npos);
+}
+
+// One grammar for number, N<label> and d:<days> tokens: out-of-range and
+// non-finite values are rejected, never clamped or read as infinity.
+TEST(ParseScalarTokenTest, OneGrammarForNumbersLabelsAndDates) {
+  EXPECT_EQ(*ParseScalarToken("42"), Value::Int64(42));
+  EXPECT_EQ(*ParseScalarToken("+7"), Value::Int64(7));
+  EXPECT_EQ(*ParseScalarToken("-9223372036854775808"),
+            Value::Int64(INT64_MIN));
+  EXPECT_EQ(*ParseScalarToken("2.5"), Value::Double(2.5));
+  EXPECT_EQ(*ParseScalarToken("1e308"), Value::Double(1e308));
+  EXPECT_EQ(*ParseScalarToken("1e+308"), Value::Double(1e308));
+  EXPECT_EQ(*ParseScalarToken("-2.5E-3"), Value::Double(-2.5e-3));
+  // Subnormals are finite: the writer prints them, so they read back.
+  EXPECT_TRUE(ParseScalarToken("4.9406564584124654e-324").ok());
+  EXPECT_EQ(*ParseScalarToken("N3"), Value::LabeledNull(3));
+  EXPECT_EQ(*ParseScalarToken("d:-2"), Value::Date(-2));
+  for (const char* bad :
+       {"99999999999999999999", "-99999999999999999999", "1e999", "-1e999",
+        "N99999999999999999999", "d:99999999999999999999", "N-5", "N 3",
+        "N", "d:", "", "-", "abc", "1-2", "1e5-"}) {
+    Result<Value> parsed = ParseScalarToken(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(parsed.status().message().find("unparsable"), std::string::npos)
+        << parsed.status();
+  }
+}
+
+// The instance reader uses that grammar: a double that overflows is an
+// error (it used to load as infinity and save as the unreadable `inf.0`).
+TEST(SexprParseErrorTest, OutOfRangeAndNonFiniteValuesRejected) {
+  for (const char* bad : {"1e999", "-1e999", "99999999999999999999",
+                          "N99999999999999999999", "d:99999999999999999999"}) {
+    auto parsed =
+        ParseInstance(std::string("(instance (R (") + bad + ")))");
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(parsed.status().message().find("offset"), std::string::npos)
+        << parsed.status();
+  }
+  // What the writer prints (%.17g: 1e+308, 1.0000000000000001e-05) reads
+  // back.
+  auto edge = ParseInstance(
+      "(instance (R (9223372036854775807 1e308 1e-5 N0 d:-3)))");
+  ASSERT_TRUE(edge.ok()) << edge.status();
+  auto again = ParseInstance(InstanceToText(*edge));
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_TRUE(again->Equals(*edge));
 }
 
 TEST(SexprParseErrorTest, SchemaValidationStillApplies) {

@@ -179,20 +179,6 @@ TEST(WatchdogTest, PreTrippedExternalTokenStopsAfterFirstRound) {
             std::string::npos);
 }
 
-TEST(WatchdogTest, BudgetsWorkAtEveryThreadCount) {
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    ChaseOptions options;
-    options.tuple_budget = 25;
-    options.threads = threads;
-    options.max_rounds = 100000;
-    auto result =
-        ChaseInstance({DivergingTgd()}, {}, SeedInstance(), options);
-    ASSERT_TRUE(result.ok()) << result.status();
-    ASSERT_TRUE(result->breach.has_value()) << "threads=" << threads;
-    EXPECT_EQ(result->breach->kind, "tuples");
-  }
-}
-
 TEST(WatchdogTest, ComputeCoreHonorsCancelToken) {
   // A pre-tripped token returns the input unchanged (still a valid
   // solution, just not minimized).
