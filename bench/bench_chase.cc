@@ -149,7 +149,35 @@ void BM_Chase_Core(benchmark::State& state) {
   state.counters["tuples_before"] = static_cast<double>(before);
   state.counters["tuples_after_core"] = static_cast<double>(after);
 }
-BENCHMARK(BM_Chase_Core)->Arg(8)->Arg(16)->Arg(32);
+BENCHMARK(BM_Chase_Core)->Arg(8)->Arg(16)->Arg(32)->Arg(256);
+
+void BM_Chase_CoreCycleBlocks(benchmark::State& state) {
+  // 16 directed k-cycles of nulls next to a ground loop E(7, 7). Each cycle
+  // is one k-null block that folds onto the loop only as a whole — no null
+  // can move on its own — so this prices the block search itself. The core
+  // is {E(7, 7)}.
+  constexpr std::int64_t kCycles = 16;
+  std::int64_t k = state.range(0);
+  Instance cycles;
+  cycles.DeclareRelation("E", 2);
+  cycles.InsertUnchecked("E", {Value::Int64(7), Value::Int64(7)});
+  for (std::int64_t c = 0; c < kCycles; ++c) {
+    for (std::int64_t i = 0; i < k; ++i) {
+      cycles.InsertUnchecked("E", {Value::LabeledNull(c * k + i),
+                                   Value::LabeledNull(c * k + (i + 1) % k)});
+    }
+  }
+  std::size_t before = cycles.TotalTuples();
+  std::size_t after = 0;
+  for (auto _ : state) {
+    Instance core = mm2::chase::ComputeCore(cycles);
+    after = core.TotalTuples();
+    benchmark::DoNotOptimize(core);
+  }
+  state.counters["tuples_before"] = static_cast<double>(before);
+  state.counters["tuples_after_core"] = static_cast<double>(after);
+}
+BENCHMARK(BM_Chase_CoreCycleBlocks)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
 void BM_Chase_TransitiveClosure(benchmark::State& state) {
   // Intra-schema closure: a non-s-t workload exercising ChaseInstance.

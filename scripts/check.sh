@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Sanitizer gate: builds the whole tree with ASan+UBSan and runs ctest.
+# Sanitizer gate: builds the whole tree with ASan+UBSan, fails on any
+# compiler warning in the build log, and runs ctest.
 # The obs subsystem is the reason this exists — its registry/tracer mutexes
 # and counter atomics should stay race- and UB-clean — but the gate covers
 # every target. Usage:
@@ -57,7 +58,16 @@ fi
 cmake -B "$BUILD_DIR" -S . \
   -DMM2_SANITIZE="$SANITIZERS" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$BUILD_DIR" -j"$(nproc)"
+# Warning gate: the tree builds warning-free. The build log is kept, and
+# any compiler warning in it fails the check, including one reported from
+# a system header while compiling a file under src/ or tests/. Only what
+# this run compiled is in the log, so a fresh BUILD_DIR checks every file.
+BUILD_LOG="$BUILD_DIR/build.log"
+cmake --build "$BUILD_DIR" -j"$(nproc)" 2>&1 | tee "$BUILD_LOG"
+if grep -n "warning:" "$BUILD_LOG"; then
+  echo "error: the build emitted compiler warnings (see $BUILD_LOG)" >&2
+  exit 1
+fi
 if [[ -n "$TEST_FILTER" ]]; then
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" \
     -R "$TEST_FILTER"

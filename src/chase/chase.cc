@@ -9,9 +9,11 @@
 #include <cassert>
 #include <chrono>
 #include <cstdio>
+#include <deque>
 #include <functional>
 #include <limits>
 #include <optional>
+#include <unordered_map>
 
 namespace mm2::chase {
 
@@ -169,12 +171,13 @@ std::vector<std::size_t> PlanAtomOrder(const std::vector<Atom>& atoms,
 // final filter, which also enforces repeated unbound variables. `cancel`
 // is polled once per descend so a stop request lands mid-join instead of
 // after it; callers pass nullptr when no budget or token is armed, which
-// keeps the default path free of atomic loads.
+// keeps the default path free of atomic loads. A non-null `skip` matches
+// against db minus that one fact, without mutating db.
 void MatchIndexedRec(const std::vector<Atom>& atoms,
                      const std::vector<std::size_t>& order, std::size_t depth,
                      const Instance& db, const obs::CancelToken* cancel,
                      Assignment* assignment, std::vector<Assignment>* out,
-                     std::size_t limit) {
+                     std::size_t limit, const Fact* skip = nullptr) {
   if (limit != 0 && out->size() >= limit) return;
   if (cancel != nullptr && cancel->stop_requested()) return;
   if (depth == order.size()) {
@@ -185,11 +188,15 @@ void MatchIndexedRec(const std::vector<Atom>& atoms,
   const instance::RelationInstance* rel = db.Find(atom.relation);
   if (rel == nullptr) return;
   if (atom.terms.size() != rel->arity()) return;  // nothing can match
+  const Tuple* skip_row =
+      skip != nullptr && skip->relation == atom.relation ? &skip->tuple
+                                                         : nullptr;
   auto descend = [&](const Tuple& tuple) {
+    if (skip_row != nullptr && tuple == *skip_row) return;
     std::vector<const std::string*> newly_bound;
     if (MatchTuple(atom, tuple, assignment, &newly_bound)) {
       MatchIndexedRec(atoms, order, depth + 1, db, cancel, assignment, out,
-                      limit);
+                      limit, skip);
     }
     for (const std::string* v : newly_bound) assignment->erase(*v);
   };
@@ -1876,26 +1883,74 @@ Result<std::vector<Tuple>> AllAnswers(const logic::ConjunctiveQuery& query,
 
 namespace {
 
-// Renders an instance as a list of atoms whose labeled nulls become
-// variables, so homomorphism search reduces to MatchAtoms.
+// The variable that stands for a labeled null in homomorphism searches.
+std::string NullVar(const Value& null) {
+  return "_n" + std::to_string(null.label());
+}
+
+// Renders a fact as an atom whose labeled nulls become variables, so
+// homomorphism search reduces to the production matcher.
+Atom FactAsAtom(const std::string& relation, const Tuple& tuple) {
+  Atom atom;
+  atom.relation = relation;
+  for (const Value& v : tuple) {
+    atom.terms.push_back(v.is_labeled_null() ? Term::Var(NullVar(v))
+                                             : Term::Const(v));
+  }
+  return atom;
+}
+
 std::vector<Atom> InstanceAsAtoms(const Instance& database) {
   std::vector<Atom> atoms;
   for (const auto& [name, rel] : database.relations()) {
-    for (const Tuple& t : rel.tuples()) {
-      Atom atom;
-      atom.relation = name;
-      for (const Value& v : t) {
-        if (v.is_labeled_null()) {
-          atom.terms.push_back(
-              Term::Var("_n" + std::to_string(v.label())));
-        } else {
-          atom.terms.push_back(Term::Const(v));
-        }
-      }
-      atoms.push_back(std::move(atom));
-    }
+    for (const Tuple& t : rel.tuples()) atoms.push_back(FactAsAtom(name, t));
   }
   return atoms;
+}
+
+// A block: the facts over one connected component of the graph whose edges
+// join labeled nulls that occur in the same fact (Fagin–Kolaitis–Popa).
+struct NullBlock {
+  std::vector<Fact> facts;
+  std::size_t nulls = 0;
+};
+
+// Splits null-holding facts into blocks with a union-find over null labels.
+// Blocks come out in order of their first fact, so the search order (and
+// with it the result) is deterministic.
+std::vector<NullBlock> SplitBlocks(std::vector<Fact> facts) {
+  std::unordered_map<std::int64_t, std::int64_t> parent;
+  auto find = [&](std::int64_t x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    return x;
+  };
+  std::vector<std::int64_t> first_null(facts.size());
+  for (std::size_t i = 0; i < facts.size(); ++i) {
+    bool first = true;
+    for (const Value& v : facts[i].tuple) {
+      if (!v.is_labeled_null()) continue;
+      parent.emplace(v.label(), v.label());
+      if (first) {
+        first_null[i] = v.label();
+        first = false;
+      } else {
+        parent[find(v.label())] = find(first_null[i]);
+      }
+    }
+  }
+  std::vector<NullBlock> blocks;
+  std::unordered_map<std::int64_t, std::size_t> block_of_root;
+  for (std::size_t i = 0; i < facts.size(); ++i) {
+    auto [it, fresh] =
+        block_of_root.emplace(find(first_null[i]), blocks.size());
+    if (fresh) blocks.emplace_back();
+    blocks[it->second].facts.push_back(std::move(facts[i]));
+  }
+  for (const auto& [null, root] : parent) {
+    (void)root;
+    ++blocks[block_of_root.at(find(null))].nulls;
+  }
+  return blocks;
 }
 
 }  // namespace
@@ -1911,87 +1966,90 @@ instance::Instance ComputeCore(const Instance& database, obs::Context* obs,
   obs::ObsSpan span(obs, "chase.core");
   span.SetAttribute("input_tuples", database.TotalTuples());
   obs::ScopedLatency latency(obs, "chase.core.latency_us");
-  std::size_t iterations = 0;
-  Instance core = database;
-  bool changed = true;
-  while (changed) {
-    if (cancel != nullptr && cancel->stop_requested()) break;
-    changed = false;
-    // Collect nulls and candidate replacement values.
-    std::set<Value> nulls;
-    std::set<Value> values;
-    for (const auto& [name, rel] : core.relations()) {
-      for (const Tuple& t : rel.tuples()) {
-        for (const Value& v : t) {
-          values.insert(v);
-          if (v.is_labeled_null()) nulls.insert(v);
-        }
+  std::vector<Fact> null_facts;
+  for (const auto& [name, rel] : database.relations()) {
+    for (const Tuple& t : rel.tuples()) {
+      if (std::any_of(t.begin(), t.end(),
+                      [](const Value& v) { return v.is_labeled_null(); })) {
+        null_facts.push_back(Fact{name, t});
       }
     }
-    for (const Value& null : nulls) {
-      // A stop request returns the current instance — still a valid
-      // solution, just possibly short of the minimal core.
-      if (cancel != nullptr && cancel->stop_requested()) break;
-      // Only tuples containing `null` can move under the retraction;
-      // single-column probes enumerate exactly those (and stay maintained
-      // across the in-place rewrites below). Copies, not pointers: the
-      // apply step mutates the relations.
-      std::vector<std::pair<std::string, Tuple>> affected;
-      {
-        std::set<const Tuple*> seen;
-        for (const auto& [name, rel] : core.relations()) {
-          for (std::size_t c = 0; c < rel.arity(); ++c) {
-            const instance::RelationInstance::TupleRefs* refs =
-                rel.Probe({c}, {null});
-            if (refs == nullptr) continue;
-            for (const Tuple* t : *refs) {
-              if (seen.insert(t).second) affected.emplace_back(name, *t);
-            }
-          }
-        }
+  }
+  std::deque<NullBlock> queue;
+  for (NullBlock& block : SplitBlocks(std::move(null_facts))) {
+    queue.push_back(std::move(block));
+  }
+  // Searches probe the input until the first retraction; only then is it
+  // copied, and from there on the copy only loses facts.
+  std::optional<Instance> core;
+  std::size_t iterations = 0;
+  std::size_t blocks = 0;
+  std::size_t block_nulls_max = 0;
+  while (!queue.empty()) {
+    // A stop request returns the current instance — still a valid
+    // solution, just possibly short of the minimal core.
+    if (cancel != nullptr && cancel->stop_requested()) break;
+    NullBlock block = std::move(queue.front());
+    queue.pop_front();
+    ++blocks;
+    block_nulls_max = std::max(block_nulls_max, block.nulls);
+    // Look for h: F_B -> J \ {f}. Extended by the identity outside the
+    // block, h maps J into J, so J shrinks to h(J) without f.
+    std::vector<Atom> atoms;
+    for (const Fact& f : block.facts) {
+      atoms.push_back(FactAsAtom(f.relation, f.tuple));
+    }
+    const Instance& current = core ? *core : database;
+    std::vector<std::size_t> order =
+        PlanAtomOrder(atoms, current, Assignment());
+    std::vector<Assignment> hit;
+    for (const Fact& f : block.facts) {
+      Assignment seed;
+      MatchIndexedRec(atoms, order, 0, current, cancel, &seed, &hit,
+                      /*limit=*/1, &f);
+      if (!hit.empty()) break;
+    }
+    if (hit.empty()) continue;
+    // h(F_B) is already in J: the retraction only deletes the block's facts
+    // outside it. What stays of the block may fall apart into smaller
+    // blocks, and only those are searched again — a failed search cannot
+    // succeed later, since J only shrinks.
+    std::set<Fact> image;
+    for (const Fact& f : block.facts) {
+      Fact moved = f;
+      for (Value& v : moved.tuple) {
+        if (v.is_labeled_null()) v = hit[0].at(NullVar(v));
       }
-      // Retraction h: null -> candidate, identity elsewhere. Valid if
-      // h(core) is contained in core; unaffected tuples are fixpoints.
-      auto retraction_valid = [&](const Value& candidate) {
-        for (const auto& [name, t] : affected) {
-          Tuple image = t;
-          for (Value& v : image) {
-            if (v == null) v = candidate;
-          }
-          if (!core.Find(name)->Contains(image)) return false;
-        }
-        return true;
-      };
-      // The scan stops at the first valid candidate in value order.
-      for (const Value& candidate : values) {
-        if (candidate == null) continue;
-        if (retraction_valid(candidate)) {
-          // Apply in place: affected tuples collapse onto their images
-          // (an image never equals another affected tuple — images no
-          // longer contain `null`, affected tuples all do).
-          for (const auto& [name, t] : affected) {
-            Tuple image = t;
-            for (Value& v : image) {
-              if (v == null) v = candidate;
-            }
-            instance::RelationInstance* rel = core.FindMutable(name);
-            rel->Erase(t);
-            rel->Insert(std::move(image));
-          }
-          changed = true;
-          ++iterations;
-          break;
-        }
+      image.insert(std::move(moved));
+    }
+    if (!core) core = database;
+    std::vector<Fact> kept;
+    for (Fact& f : block.facts) {
+      if (image.count(f) > 0) {
+        kept.push_back(std::move(f));
+      } else {
+        core->FindMutable(f.relation)->Erase(f.tuple);
       }
-      if (changed) break;
+    }
+    ++iterations;
+    for (NullBlock& rest : SplitBlocks(std::move(kept))) {
+      queue.push_back(std::move(rest));
     }
   }
   if (obs != nullptr) {
     obs->metrics.GetCounter("chase.core_iterations").Increment(iterations);
+    obs->metrics.GetCounter("chase.core_blocks").Increment(blocks);
+    obs::Counter& nulls_max =
+        obs->metrics.GetCounter("chase.core_block_nulls_max");
+    if (block_nulls_max > nulls_max.value()) {
+      nulls_max.Increment(block_nulls_max - nulls_max.value());
+    }
   }
   span.SetAttribute("iterations", iterations);
-  span.SetAttribute("core_tuples", core.TotalTuples());
-  return core;
+  span.SetAttribute("blocks", blocks);
+  if (!core) core = database;
+  span.SetAttribute("core_tuples", core->TotalTuples());
+  return std::move(*core);
 }
 
 }  // namespace mm2::chase

@@ -353,18 +353,21 @@ Result<std::vector<instance::Tuple>> AllAnswers(
 bool ExistsHomomorphism(const instance::Instance& from,
                         const instance::Instance& to);
 
-// Greedy core computation: repeatedly looks for a proper retraction that
-// maps some labeled null onto another value while keeping the instance
-// within itself, and applies it. For chase results of s-t tgd mappings this
-// reaches the core (the smallest universal solution, "getting to the
-// core"). Returns the retracted instance. When `obs` is set, emits a
-// `chase.core` span and counts applied retractions as
-// `chase.core_iterations`. Each null's candidates are tried in value order
-// and the first valid retraction is applied. `threads` is ignored: the
-// scan is serial, and the argument is kept only for existing callers.
-// `cancel` is the cooperative stop switch: polled between retraction
-// searches, and on request the current (valid but possibly non-minimal)
-// instance is returned immediately.
+// The core of `database` (its smallest hom-equivalent subinstance, "getting
+// to the core"), by block retraction: facts holding labeled nulls are split
+// into blocks, the connected components of null co-occurrence. For each
+// block B and fact f of B, a homomorphism of B's facts into the instance
+// minus f, identity elsewhere, is a retraction that drops f; every hit
+// deletes the block's facts outside its image, and only what stays of that
+// block is searched again. The result is exactly the core of any instance;
+// the cost is exponential in block size only. When `obs` is set, emits a
+// `chase.core` span and counts `chase.core_iterations` (retractions
+// applied), `chase.core_blocks` (blocks searched) and the high-water mark
+// `chase.core_block_nulls_max`. `threads` is ignored: the search is serial,
+// and the argument is kept only for existing callers. `cancel` is the
+// cooperative stop switch, polled per block and inside each search; on
+// request the current instance (hom-equivalent to the input, possibly not
+// minimal) is returned.
 instance::Instance ComputeCore(const instance::Instance& database,
                                obs::Context* obs = nullptr,
                                std::size_t threads = 0,

@@ -63,7 +63,8 @@ class QueryParser {
     return false;
   }
 
-  Result<std::string> ParseIdentifier() {
+  // The identifier at the cursor, empty when there is none.
+  std::string_view ScanIdentifier() {
     SkipSpace();
     std::size_t start = pos_;
     while (pos_ < text_.size() &&
@@ -71,8 +72,13 @@ class QueryParser {
             text_[pos_] == '_' || text_[pos_] == '$')) {
       ++pos_;
     }
-    if (pos_ == start) return Error("expected an identifier");
-    return std::string(text_.substr(start, pos_ - start));
+    return text_.substr(start, pos_ - start);
+  }
+
+  Result<std::string> ParseIdentifier() {
+    std::string_view name = ScanIdentifier();
+    if (name.empty()) return Error("expected an identifier");
+    return std::string(name);
   }
 
   Result<Atom> ParseAtom() {
@@ -128,9 +134,10 @@ class QueryParser {
       if (!number.ok()) return Error(number.status().message());
       return Term::Const(std::move(*number));
     }
-    MM2_ASSIGN_OR_RETURN(std::string name, ParseIdentifier());
+    std::string_view name = ScanIdentifier();
+    if (name.empty()) return Error("expected an identifier");
     if (name == "null") return Term::Const(Value::Null());
-    return Term::Var(std::move(name));
+    return Term::Var(std::string(name));
   }
 
   std::string_view text_;

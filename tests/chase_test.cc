@@ -8,7 +8,9 @@
 #include "logic/formula.h"
 #include "logic/mapping.h"
 #include "model/schema.h"
+#include "obs/obs.h"
 #include "reference_chase.h"
+#include "reference_core.h"
 #include "text/sexpr.h"
 
 namespace mm2::chase {
@@ -432,6 +434,77 @@ TEST(CoreTest, ChaseThenCoreMatchesMinimalSolution) {
   ASSERT_TRUE(result.ok());
   Instance core = ComputeCore(result->target);
   EXPECT_EQ(core.Find("Worker")->size(), 2u);  // one row per source Emp
+}
+
+TEST(CoreTest, CyclicNullBlockFoldsOntoGroundLoop) {
+  // S(u) -> exists x,y E(x,y) & E(y,x), then S(u) -> E(u,u), over {S(7)},
+  // chases to {E(N1,N2), E(N2,N1), E(7,7)}. No single null can move on its
+  // own, but the block {N1, N2} maps onto 7 as a whole: the core is
+  // {E(7,7)}.
+  model::Schema src = SchemaBuilder("S", Metamodel::kRelational)
+                          .Relation("S", {{"u", DataType::Int64()}})
+                          .Build();
+  model::Schema tgt = SchemaBuilder("T", Metamodel::kRelational)
+                          .Relation("E", {{"a", DataType::Int64()},
+                                          {"b", DataType::Int64()}})
+                          .Build();
+  Tgd cycle;
+  cycle.body = {Atom{"S", {V("u")}}};
+  cycle.head = {Atom{"E", {V("x"), V("y")}}, Atom{"E", {V("y"), V("x")}}};
+  Tgd loop;
+  loop.body = {Atom{"S", {V("u")}}};
+  loop.head = {Atom{"E", {V("u"), V("u")}}};
+  Instance db;
+  db.DeclareRelation("S", 1);
+  ASSERT_TRUE(db.Insert("S", {Value::Int64(7)}).ok());
+  auto result = RunChase(Mapping::FromTgds("m", src, tgt, {cycle, loop}), db);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->target.TotalTuples(), 3u);
+  Instance core = ComputeCore(result->target);
+  EXPECT_EQ(core.TotalTuples(), 1u);
+  EXPECT_TRUE(core.Find("E")->Contains({Value::Int64(7), Value::Int64(7)}));
+  EXPECT_TRUE(reference::IsCore(core));
+  EXPECT_TRUE(reference::HomEquivalent(core, result->target));
+}
+
+TEST(CoreTest, CountersReportRetractionsAndBlocks) {
+  // Two-null block {E(N1,N2), E(N2,N2)} next to ground E(7,8): N1 -> N2 is
+  // the only retraction (E(N2,N2) has no other image), and what is left,
+  // {E(N2,N2)}, is searched again as a block of its own and stays.
+  Instance db;
+  db.DeclareRelation("E", 2);
+  ASSERT_TRUE(db.Insert("E", {Value::LabeledNull(1), Value::LabeledNull(2)}).ok());
+  ASSERT_TRUE(db.Insert("E", {Value::LabeledNull(2), Value::LabeledNull(2)}).ok());
+  ASSERT_TRUE(db.Insert("E", {Value::Int64(7), Value::Int64(8)}).ok());
+  obs::Context obs;
+  Instance core = ComputeCore(db, &obs);
+  EXPECT_EQ(core.TotalTuples(), 2u);
+  EXPECT_TRUE(core.Find("E")->Contains({Value::Int64(7), Value::Int64(8)}));
+  EXPECT_TRUE(reference::IsCore(core));
+  EXPECT_TRUE(reference::HomEquivalent(core, db));
+  EXPECT_EQ(obs.metrics.GetCounter("chase.core_iterations").value(), 1u);
+  EXPECT_EQ(obs.metrics.GetCounter("chase.core_blocks").value(), 2u);
+  EXPECT_EQ(obs.metrics.GetCounter("chase.core_block_nulls_max").value(), 2u);
+}
+
+TEST(CoreTest, BlockRemainderIsSearchedAgain) {
+  // The first homomorphism found for the big block only folds part of it;
+  // the core needs a second retraction of what stays, so a remainder that
+  // is not searched again leaves a non-core.
+  Instance db;
+  db.DeclareRelation("R", 2);
+  auto i = [](std::int64_t v) { return Value::Int64(v); };
+  auto n = [](std::int64_t v) { return Value::LabeledNull(v); };
+  for (const Tuple& t : std::vector<Tuple>{
+           {i(0), i(1)}, {i(0), n(0)}, {i(2), n(5)}, {i(3), i(0)},
+           {n(0), i(1)}, {n(0), n(2)}, {n(1), n(0)}, {n(4), n(1)},
+           {n(5), i(1)}, {n(5), n(0)}, {n(5), n(1)}}) {
+    ASSERT_TRUE(db.Insert("R", t).ok());
+  }
+  Instance core = ComputeCore(db);
+  EXPECT_TRUE(reference::IsCore(core)) << core.ToString();
+  EXPECT_TRUE(reference::HomEquivalent(core, db));
+  EXPECT_EQ(core.Minus(db).TotalTuples(), 0u);
 }
 
 

@@ -4,14 +4,19 @@
 // mappings, and databases rather than single examples.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "chase/chase.h"
 #include "compose/compose.h"
 #include "diff/diff.h"
 #include "inverse/inverse.h"
 #include "merge/merge.h"
+#include "model/schema.h"
 #include "modelgen/modelgen.h"
+#include "reference_core.h"
 #include "rewrite/rewrite.h"
 #include "text/sexpr.h"
 #include "transgen/relational.h"
@@ -227,11 +232,93 @@ TEST_P(CoreProperty, IdempotentAndShrinking) {
   Instance twice = chase::ComputeCore(once);
   EXPECT_LE(once.TotalTuples(), db.TotalTuples());
   EXPECT_TRUE(twice.Equals(once));
-  // The core is hom-equivalent to the original.
+  // The core is hom-equivalent to the original, and minimal.
   EXPECT_TRUE(HomEquivalent(once, db));
+  EXPECT_TRUE(chase::reference::IsCore(once)) << once.ToString();
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CoreProperty, ::testing::Range(1, 10));
+
+// ---------------------------------------------------------------------------
+// Core of s-t chase results: minimal and hom-equivalent, by the reference
+// oracle. Random mappings S(a,b) -> E(x,y), F(x) whose tgds have one- or
+// two-atom bodies and two- or three-atom heads with up to two existentials,
+// so nulls come in cycles, chains and loops that fold in blocks.
+// ---------------------------------------------------------------------------
+
+class CoreMinimalityProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(CoreMinimalityProperty, ChaseResultCoreIsMinimal) {
+  workload::Rng rng(static_cast<std::uint64_t>(GetParam()));
+  model::Schema src = model::SchemaBuilder("S", model::Metamodel::kRelational)
+                          .Relation("S", {{"a", model::DataType::Int64()},
+                                          {"b", model::DataType::Int64()}})
+                          .Build();
+  model::Schema tgt = model::SchemaBuilder("T", model::Metamodel::kRelational)
+                          .Relation("E", {{"x", model::DataType::Int64()},
+                                          {"y", model::DataType::Int64()}})
+                          .Relation("F", {{"x", model::DataType::Int64()}})
+                          .Build();
+  std::vector<logic::Tgd> tgds(1 + rng.Uniform(3));
+  for (logic::Tgd& tgd : tgds) {
+    std::vector<std::string> pool = {"u", "v", "x", "y"};
+    tgd.body = {Atom{"S", {Term::Var("u"), Term::Var("v")}}};
+    if (rng.Chance(0.3)) {
+      tgd.body.push_back(Atom{"S", {Term::Var("v"), Term::Var("w")}});
+      pool.push_back("w");
+    }
+    std::size_t head_atoms = 2 + rng.Uniform(2);
+    for (std::size_t i = 0; i < head_atoms; ++i) {
+      auto term = [&] { return Term::Var(pool[rng.Uniform(pool.size())]); };
+      if (rng.Chance(0.8)) {
+        tgd.head.push_back(Atom{"E", {term(), term()}});
+      } else {
+        tgd.head.push_back(Atom{"F", {term()}});
+      }
+    }
+  }
+  Mapping m = Mapping::FromTgds("m", src, tgt, tgds);
+  std::vector<Tuple> rows(1 + rng.Uniform(4));
+  for (Tuple& row : rows) {
+    row = {instance::Value::Int64(static_cast<std::int64_t>(rng.Uniform(3))),
+           instance::Value::Int64(static_cast<std::int64_t>(rng.Uniform(3)))};
+  }
+  // Drop source rows until the chase result has at most 8 nulls, which
+  // keeps the exponential oracle cheap.
+  Instance chased;
+  while (true) {
+    Instance db;
+    db.DeclareRelation("S", 2);
+    for (const Tuple& row : rows) db.InsertUnchecked("S", row);
+    auto result = chase::RunChase(m, db);
+    ASSERT_TRUE(result.ok()) << result.status();
+    std::set<instance::Value> nulls;
+    for (const auto& [name, rel] : result->target.relations()) {
+      for (const Tuple& t : rel.tuples()) {
+        for (const instance::Value& v : t) {
+          if (v.is_labeled_null()) nulls.insert(v);
+        }
+      }
+    }
+    if (nulls.size() <= 8 || rows.size() == 1) {
+      ASSERT_LE(nulls.size(), 8u);
+      chased = std::move(result->target);
+      break;
+    }
+    rows.pop_back();
+  }
+  Instance core = chase::ComputeCore(chased);
+  EXPECT_TRUE(chase::reference::IsCore(core))
+      << "not minimal:\n" << core.ToString() << "chase result:\n"
+      << chased.ToString();
+  EXPECT_TRUE(chase::reference::HomEquivalent(core, chased))
+      << core.ToString();
+  EXPECT_EQ(core.Minus(chased).TotalTuples(), 0u)
+      << "the core is not a subinstance of the chase result";
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, CoreMinimalityProperty,
+                         ::testing::Range(1, 101));
 
 // ---------------------------------------------------------------------------
 // Diff/Extract complement across random schemas.

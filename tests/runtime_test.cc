@@ -324,5 +324,36 @@ TEST(ExchangeTest, CoreMinimizationShrinksRedundantSolution) {
   EXPECT_LE(result->target.TotalTuples(), result->pre_core_tuples);
 }
 
+TEST(ExchangeTest, CoreFoldsCyclicNullBlock) {
+  // S(u) -> exists x,y E(x,y) & E(y,x), then S(u) -> E(u,u): the chase
+  // leaves {E(N1,N2), E(N2,N1), E(7,7)} and the core is {E(7,7)}.
+  model::Schema src = SchemaBuilder("S", Metamodel::kRelational)
+                          .Relation("S", {{"u", DataType::Int64()}})
+                          .Build();
+  model::Schema tgt = SchemaBuilder("T", Metamodel::kRelational)
+                          .Relation("E", {{"a", DataType::Int64()},
+                                          {"b", DataType::Int64()}})
+                          .Build();
+  Tgd cycle;
+  cycle.body = {Atom{"S", {V("u")}}};
+  cycle.head = {Atom{"E", {V("x"), V("y")}}, Atom{"E", {V("y"), V("x")}}};
+  Tgd loop;
+  loop.body = {Atom{"S", {V("u")}}};
+  loop.head = {Atom{"E", {V("u"), V("u")}}};
+  Mapping m = Mapping::FromTgds("m", src, tgt, {cycle, loop});
+  Instance db;
+  db.DeclareRelation("S", 1);
+  ASSERT_TRUE(db.Insert("S", {Value::Int64(7)}).ok());
+
+  ExchangeOptions options;
+  options.compute_core = true;
+  auto result = Exchange(m, db, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->pre_core_tuples, 3u);
+  EXPECT_EQ(result->target.TotalTuples(), 1u);
+  EXPECT_TRUE(
+      result->target.Find("E")->Contains({Value::Int64(7), Value::Int64(7)}));
+}
+
 }  // namespace
 }  // namespace mm2::runtime

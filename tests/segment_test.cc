@@ -415,7 +415,9 @@ TEST(RelationSegmentTest, CompactionMergesTiersInOrder) {
   for (std::size_t r = 0; r < merged->rows(); ++r) {
     Tuple got;
     merged->CopyRow(r, &got);
-    if (r > 0) EXPECT_LT(prev, got) << "row " << r;
+    if (r > 0) {
+      EXPECT_LT(prev, got) << "row " << r;
+    }
     prev = got;
   }
 }

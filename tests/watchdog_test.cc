@@ -4,8 +4,10 @@
 // runtime::Exchange.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "chase/chase.h"
@@ -193,6 +195,38 @@ TEST(WatchdogTest, ComputeCoreHonorsCancelToken) {
   // Without the token the redundant null-tuple folds away.
   Instance core = ComputeCore(db);
   EXPECT_EQ(core.TotalTuples(), 1u);
+}
+
+TEST(WatchdogTest, ComputeCoreStopsInsideBlockSearch) {
+  // One directed 400-cycle of nulls is one block with no retraction: every
+  // search for a fact walks most of the cycle from every start before it
+  // fails, which takes far longer than a second. A stop requested from
+  // another thread lands inside that search, and the call returns the
+  // instance as it was — a valid, hom-equivalent solution.
+  constexpr std::int64_t kCycle = 400;
+  Instance db;
+  db.DeclareRelation("E", 2);
+  for (std::int64_t i = 0; i < kCycle; ++i) {
+    db.InsertUnchecked("E", {Value::LabeledNull(i),
+                             Value::LabeledNull((i + 1) % kCycle)});
+  }
+  obs::Context obs;
+  obs::CancelToken token;
+  auto start = std::chrono::steady_clock::now();
+  std::thread stopper([&token] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    token.RequestStop("test stop");
+  });
+  Instance partial = ComputeCore(db, &obs, 0, &token);
+  auto elapsed = std::chrono::steady_clock::now() - start;
+  stopper.join();
+  EXPECT_LT(elapsed, std::chrono::seconds(5));
+  EXPECT_EQ(obs.metrics.GetCounter("chase.core_blocks").value(), 1u);
+  EXPECT_EQ(obs.metrics.GetCounter("chase.core_block_nulls_max").value(),
+            static_cast<std::uint64_t>(kCycle));
+  EXPECT_EQ(partial.Minus(db).TotalTuples(), 0u);
+  EXPECT_TRUE(ExistsHomomorphism(db, partial));
+  EXPECT_TRUE(ExistsHomomorphism(partial, db));
 }
 
 TEST(WatchdogTest, MaxRoundsErrorCarriesFlightDump) {
